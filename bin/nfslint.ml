@@ -1,6 +1,7 @@
 (* nfslint: static checker for trace invariants and anonymization-leak
-   safety. Streams a saved text trace through the rule engine and exits
-   non-zero when findings reach the --fail-on threshold.
+   safety. Streams a trace (stdin, text or tbin file) through the rule
+   engine record by record and exits non-zero when findings reach the
+   --fail-on threshold.
 
    Examples:
      nfslint campus.trace
@@ -53,48 +54,43 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
       let timeline = Obs_cli.timeline obs_opts obs in
       let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
       let prog = Obs_cli.progress obs_opts "nfslint" in
-      let tick () =
-        Obs_cli.tick prog ~stage:"lint" 1;
-        Nt_obs.Sampler.tick sampler
+      let t = Lint.create ~obs config in
+      let opened =
+        Nt_obs.Obs.with_span obs "lint.run" (fun () ->
+            Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+                Obs_cli.tick prog ~stage:"lint" 1;
+                Nt_obs.Sampler.tick sampler;
+                Lint.observe t r))
       in
-      (* stdin stays a lazy stream; file sources (text or tbin:) load
-         through the pipeline's format-sniffing reader *)
-      let ic = if input = "-" then Some stdin else None in
-      let records =
-        match ic with
-        | Some ic ->
-            Seq.map
-              (fun r ->
-                tick ();
-                r)
-              (Nt_trace.Record.read_channel ic)
-        | None -> List.to_seq (Nt_core.Pipeline.load_trace ~obs ~tick input)
-      in
-      let t = Nt_obs.Obs.with_span obs "lint.run" (fun () -> Lint.run ~obs config records) in
-      Obs_cli.finish prog;
-      let findings = Lint.findings t in
-      if json then print_endline (Nt_lint.Finding.list_to_json findings)
-      else List.iter (fun f -> print_endline (Nt_lint.Finding.to_string f)) findings;
-      Printf.eprintf "nfslint: %d records, %d error(s), %d warning(s), %d info%s\n%!"
-        (Lint.records_seen t)
-        (Lint.severity_count t Nt_lint.Rule.Error)
-        (Lint.severity_count t Nt_lint.Rule.Warn)
-        (Lint.severity_count t Nt_lint.Rule.Info)
-        (if Lint.suppressed t > 0 then
-           Printf.sprintf " (%d findings suppressed past per-rule cap)" (Lint.suppressed t)
-         else "");
-      ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-      Obs_cli.dump obs_opts obs;
-      Obs_cli.dump_timeline ~sampler obs_opts timeline;
-      let failed =
-        match fail_on with
-        | `Never -> false
-        | `Error -> Lint.severity_count t Nt_lint.Rule.Error > 0
-        | `Warn ->
-            Lint.severity_count t Nt_lint.Rule.Error > 0
-            || Lint.severity_count t Nt_lint.Rule.Warn > 0
-      in
-      if failed then 1 else 0
+      match opened with
+      | Error msg ->
+          Printf.eprintf "nfslint: %s\n%!" msg;
+          1
+      | Ok () ->
+          Obs_cli.finish prog;
+          let findings = Lint.findings t in
+          if json then print_endline (Nt_lint.Finding.list_to_json findings)
+          else List.iter (fun f -> print_endline (Nt_lint.Finding.to_string f)) findings;
+          Printf.eprintf "nfslint: %d records, %d error(s), %d warning(s), %d info%s\n%!"
+            (Lint.records_seen t)
+            (Lint.severity_count t Nt_lint.Rule.Error)
+            (Lint.severity_count t Nt_lint.Rule.Warn)
+            (Lint.severity_count t Nt_lint.Rule.Info)
+            (if Lint.suppressed t > 0 then
+               Printf.sprintf " (%d findings suppressed past per-rule cap)" (Lint.suppressed t)
+             else "");
+          ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
+          Obs_cli.dump obs_opts obs;
+          Obs_cli.dump_timeline ~sampler obs_opts timeline;
+          let failed =
+            match fail_on with
+            | `Never -> false
+            | `Error -> Lint.severity_count t Nt_lint.Rule.Error > 0
+            | `Warn ->
+                Lint.severity_count t Nt_lint.Rule.Error > 0
+                || Lint.severity_count t Nt_lint.Rule.Warn > 0
+          in
+          if failed then 1 else 0
     end
 
 let input =

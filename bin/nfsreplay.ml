@@ -99,59 +99,65 @@ let run input obs_opts =
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsreplay" in
-  let records =
+  (* Loaded, not streamed: the trace is replayed once per policy, and
+     stdin cannot be read twice. *)
+  match
     Nt_obs.Obs.with_span obs "load" (fun () ->
         Nt_core.Pipeline.load_trace ~obs
           ~tick:(fun () ->
             Obs_cli.tick prog ~stage:"load" 1;
             Nt_obs.Sampler.tick sampler)
           input)
-  in
-  Printf.eprintf "nfsreplay: %d records loaded\n%!" (List.length records);
-  let results =
-    List.map
-      (fun p ->
-        let name = policy_name p in
-        Obs_cli.set_stage prog name;
-        let ((reqs, total) as r) =
-          Nt_obs.Obs.with_span obs ("replay." ^ name) (fun () -> replay p records)
-        in
-        Nt_obs.Obs.add
-          (Nt_obs.Obs.counter obs
-             ~labels:[ ("policy", name) ]
-             ~help:"READ requests replayed against the disk model" "replay.read_requests")
-          reqs;
-        Nt_obs.Obs.set
-          (Nt_obs.Obs.gauge obs
-             ~labels:[ ("policy", name) ]
-             ~help:"modeled disk service time, seconds" "replay.disk_seconds")
-          total;
-        (p, r))
-      [ No_readahead; Fragile; Metric ]
-  in
-  let baseline =
-    match List.assoc_opt Fragile results with Some (_, t) -> t | None -> 0.
-  in
-  print_string
-    (Nt_util.Tables.render
-       ~title:"Disk service time for the trace's READ stream, per read-ahead policy"
-       ~header:[ "policy"; "read requests"; "disk time"; "vs fragile" ]
-       (List.map
-          (fun (p, (reqs, t)) ->
-            [
-              policy_name p;
-              string_of_int reqs;
-              Printf.sprintf "%.3f s" t;
-              (if baseline > 0. then
-                 Printf.sprintf "%+.1f%%" (100. *. (baseline -. t) /. baseline)
-               else "-");
-            ])
-          results));
-  ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
-  0
+  with
+  | exception Sys_error msg ->
+      Printf.eprintf "nfsreplay: %s\n%!" msg;
+      1
+  | records ->
+      Printf.eprintf "nfsreplay: %d records loaded\n%!" (List.length records);
+      let results =
+        List.map
+          (fun p ->
+            let name = policy_name p in
+            Obs_cli.set_stage prog name;
+            let ((reqs, total) as r) =
+              Nt_obs.Obs.with_span obs ("replay." ^ name) (fun () -> replay p records)
+            in
+            Nt_obs.Obs.add
+              (Nt_obs.Obs.counter obs
+                 ~labels:[ ("policy", name) ]
+                 ~help:"READ requests replayed against the disk model" "replay.read_requests")
+              reqs;
+            Nt_obs.Obs.set
+              (Nt_obs.Obs.gauge obs
+                 ~labels:[ ("policy", name) ]
+                 ~help:"modeled disk service time, seconds" "replay.disk_seconds")
+              total;
+            (p, r))
+          [ No_readahead; Fragile; Metric ]
+      in
+      let baseline =
+        match List.assoc_opt Fragile results with Some (_, t) -> t | None -> 0.
+      in
+      print_string
+        (Nt_util.Tables.render
+           ~title:"Disk service time for the trace's READ stream, per read-ahead policy"
+           ~header:[ "policy"; "read requests"; "disk time"; "vs fragile" ]
+           (List.map
+              (fun (p, (reqs, t)) ->
+                [
+                  policy_name p;
+                  string_of_int reqs;
+                  Printf.sprintf "%.3f s" t;
+                  (if baseline > 0. then
+                     Printf.sprintf "%+.1f%%" (100. *. (baseline -. t) /. baseline)
+                   else "-");
+                ])
+              results));
+      ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
+      Obs_cli.finish prog;
+      Obs_cli.dump obs_opts obs;
+      Obs_cli.dump_timeline ~sampler obs_opts timeline;
+      0
 
 let input =
   Arg.(

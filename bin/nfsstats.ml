@@ -1,59 +1,65 @@
-(* nfsstats: run the paper's analyses over a saved text trace.
+(* nfsstats: run the paper's analyses over a trace, streaming it from
+   stdin or a text/tbin file straight into the chunked report fold, so
+   the trace is never held whole.
 
    Example: nfsstats --analysis summary,runs,names --jobs 4 campus.trace *)
 
 open Cmdliner
-
-let load ~obs prog sampler input =
-  Nt_core.Pipeline.load_trace ~obs
-    ~tick:(fun () ->
-      Obs_cli.tick prog ~stage:"load" 1;
-      Nt_obs.Sampler.tick sampler)
-    input
+module Obs = Nt_obs.Obs
+module Lint = Nt_lint.Engine
 
 let run input analyses jobs shard_records lint obs_opts =
-  let obs = Nt_obs.Obs.create () in
+  let obs = Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsstats" in
-  let records = Nt_obs.Obs.with_span obs "load" (fun () -> load ~obs prog sampler input) in
-  Nt_obs.Obs.add
-    (Nt_obs.Obs.counter obs ~help:"trace records loaded" "stats.records")
-    (List.length records);
-  Printf.eprintf "nfsstats: %d records loaded\n%!" (List.length records);
-  if lint then begin
-    let l = Nt_core.Pipeline.lint_records ~obs records in
-    List.iter
-      (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
-      (Nt_lint.Engine.findings l);
-    Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
-      (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
-      (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn)
-  end;
-  List.iter
-    (fun a ->
-      Nt_obs.Obs.add
-        (Nt_obs.Obs.counter obs
-           ~labels:[ ("pass", Nt_par.Report.section_name a) ]
-           ~help:"records fed to each analysis pass" "analysis.records")
-        (List.length records))
-    analyses;
-  Obs_cli.set_stage prog "analyze";
-  let sections =
-    Nt_obs.Obs.with_span obs "analyze" (fun () ->
-        Nt_core.Pipeline.analyze_records ~obs ?timeline ~jobs ~records_per_shard:shard_records
-          ~sections:analyses records)
+  let linter = if lint then Some (Lint.create ~obs Lint.default_config) else None in
+  let opened = ref (Ok ()) in
+  let sections, n =
+    Obs.with_span obs "analyze" (fun () ->
+        Nt_core.Pipeline.analyze_stream ~obs ?timeline ~jobs ~records_per_shard:shard_records
+          ~sections:analyses (fun push ->
+            opened :=
+              Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+                  Obs_cli.tick prog ~stage:"analyze" 1;
+                  Nt_obs.Sampler.tick sampler;
+                  Option.iter (fun l -> Lint.observe l r) linter;
+                  push r)))
   in
-  List.iter
-    (fun (_, text) ->
-      print_string text;
-      print_newline ())
-    sections;
-  ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
-  0
+  match !opened with
+  | Error msg ->
+      Printf.eprintf "nfsstats: %s\n%!" msg;
+      1
+  | Ok () ->
+      Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
+      Printf.eprintf "nfsstats: %d records loaded\n%!" n;
+      Option.iter
+        (fun l ->
+          List.iter
+            (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
+            (Lint.findings l);
+          Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
+            (Lint.severity_count l Nt_lint.Rule.Error)
+            (Lint.severity_count l Nt_lint.Rule.Warn))
+        linter;
+      List.iter
+        (fun a ->
+          Obs.add
+            (Obs.counter obs
+               ~labels:[ ("pass", Nt_par.Report.section_name a) ]
+               ~help:"records fed to each analysis pass" "analysis.records")
+            n)
+        analyses;
+      List.iter
+        (fun (_, text) ->
+          print_string text;
+          print_newline ())
+        sections;
+      ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
+      Obs_cli.finish prog;
+      Obs_cli.dump obs_opts obs;
+      Obs_cli.dump_timeline ~sampler obs_opts timeline;
+      0
 
 let input =
   Arg.(
@@ -81,19 +87,28 @@ let jobs =
            machine's recommended domain count). The report text is byte-identical at any setting \
            — sharding and merge order never depend on it.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let shard_records =
   Arg.(
     value
-    & opt int Nt_par.Report.default_records_per_shard
-    & info [ "shard-records" ] ~docv:"N" ~doc:"Records per analysis shard.")
+    & opt positive_int Nt_par.Report.default_records_per_shard
+    & info [ "shard-records" ] ~docv:"N"
+        ~doc:"Records per analysis shard: the chunk the streaming report folds and merges at once.")
 
 let lint =
   Arg.(
     value & flag
     & info [ "lint" ]
         ~doc:
-          "Run the static checker over the loaded records before analyzing; findings go to \
-           stderr so suspicious traces are flagged next to the numbers they distort.")
+          "Run the static checker over the records as they stream past the analyses; findings \
+           go to stderr so suspicious traces are flagged next to the numbers they distort.")
 
 let cmd =
   Cmd.v

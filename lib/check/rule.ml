@@ -52,11 +52,6 @@ let merge_law_missing =
 
 (* --- decode purity --- *)
 
-let decode_raise =
-  rule "decode-raise" Decode_purity Error
-    "untyped failure (failwith, invalid_arg, assert false, raise of a stdlib exception) in \
-     a decode-path function that does not return result or option"
-
 let decode_partial_match =
   rule "decode-partial-match" Decode_purity Error
     "partial pattern match in a decode-path function that does not return result or option"
@@ -158,7 +153,6 @@ let all =
     dom_top_mutable;
     dom_mutable_record;
     merge_law_missing;
-    decode_raise;
     decode_partial_match;
     lib_stdout;
     obj_magic;

@@ -29,7 +29,6 @@ type t = { id : string; family : family; severity : severity; doc : string }
 val dom_top_mutable : t
 val dom_mutable_record : t
 val merge_law_missing : t
-val decode_raise : t
 val decode_partial_match : t
 val lib_stdout : t
 val obj_magic : t

@@ -169,11 +169,6 @@ let collect_records simulate =
   let stats = simulate ~sink:(fun r -> acc := r :: !acc) in
   (stats, List.rev !acc)
 
-(* --- sharded analysis entry point --- *)
-
-let analyze_records ?obs ?timeline ?jobs ?records_per_shard ~sections records =
-  Nt_par.Report.run ?obs ?timeline ?jobs ?records_per_shard ~sections (Array.of_list records)
-
 (* --- lint hooks: the linter as a differential oracle --- *)
 
 let lint_records ?obs ?(config = Nt_lint.Engine.default_config) ?stats records =
@@ -209,17 +204,10 @@ let iter_tbin ?obs path f =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Nt_tbin.iter_channel ?obs ic f)
 
-let load_trace ?obs ?(tick = fun () -> ()) spec =
-  let text ic =
-    List.of_seq (Seq.map (fun r -> tick (); r) (Nt_trace.Record.read_channel ic))
-  in
-  let tbin ic =
-    let acc = ref [] in
-    let stats = Nt_tbin.iter_channel ?obs ic (fun r -> tick (); acc := r :: !acc) in
-    ignore (stats : Nt_tbin.stats);
-    List.rev !acc
-  in
-  if String.equal spec "-" then text stdin
+let iter_trace ?obs spec f =
+  let tbin ic = ignore (Nt_tbin.iter_channel ?obs ic f : Nt_tbin.stats) in
+  let text ic = Seq.iter f (Nt_trace.Record.read_channel ic) in
+  if String.equal spec "-" then Ok (text stdin)
   else begin
     let path, forced =
       if String.starts_with ~prefix:"trace:" spec then
@@ -228,26 +216,38 @@ let load_trace ?obs ?(tick = fun () -> ()) spec =
         (String.sub spec 5 (String.length spec - 5), Some `Tbin)
       else (spec, None)
     in
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let kind =
+    (* sniff the 7-byte nttb magic *)
+    let sniff ic =
+      let n = String.length Nt_tbin.magic in
+      let buf = Bytes.create n in
+      let got = input ic buf 0 n in
+      seek_in ic 0;
+      if got = n && String.equal (Bytes.sub_string buf 0 n) Nt_tbin.magic then `Tbin else `Text
+    in
+    let opened =
+      match open_in_bin path with
+      | exception Sys_error msg -> Error ("cannot open " ^ msg)
+      | ic when Sys.is_directory path ->
+          (* a directory opens but cannot be read *)
+          close_in_noerr ic;
+          Error ("cannot open " ^ path ^ ": Is a directory")
+      | ic -> (
           match forced with
-          | Some k -> k
-          | None ->
-              if String.ends_with ~suffix:".ntb" path then `Tbin
-              else begin
-                (* sniff the 7-byte nttb magic *)
-                let n = String.length Nt_tbin.magic in
-                let buf = Bytes.create n in
-                let got = input ic buf 0 n in
-                seek_in ic 0;
-                if got = n && String.equal (Bytes.sub_string buf 0 n) Nt_tbin.magic then
-                  `Tbin
-                else `Text
-              end
-        in
-        match kind with `Text -> text ic | `Tbin -> tbin ic)
+          | Some k -> Ok (ic, k)
+          | None -> Ok (ic, if String.ends_with ~suffix:".ntb" path then `Tbin else sniff ic))
+    in
+    Result.map
+      (fun (ic, kind) ->
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+            match kind with `Text -> text ic | `Tbin -> tbin ic))
+      opened
   end
+
+let load_trace ?obs ?(tick = fun () -> ()) spec =
+  let acc = ref [] in
+  match iter_trace ?obs spec (fun r -> tick (); acc := r :: !acc) with
+  | Ok () -> List.rev !acc
+  | Error msg -> raise (Sys_error msg)
 
 let analyze_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce =
   Nt_par.Report.run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce

@@ -114,19 +114,6 @@ val run_degraded :
     drift (clean vs degraded metrics stay within tolerance at realistic
     loss rates). *)
 
-val analyze_records :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  ?jobs:int ->
-  ?records_per_shard:int ->
-  sections:Nt_par.Report.section list ->
-  Nt_trace.Record.t list ->
-  (Nt_par.Report.section * string) list
-(** Run the paper's analyses over a time-sorted record list with the
-    sharded map-merge engine (see {!Nt_par.Report.run}): [jobs] worker
-    domains (default 1), [records_per_shard]-sized shards. The rendered
-    text is byte-identical at any [jobs] setting. *)
-
 val lint_records :
   ?obs:Nt_obs.Obs.t ->
   ?config:Nt_lint.Engine.config ->
@@ -178,12 +165,22 @@ val iter_tbin :
 (** Stream a [.ntb] file record by record without materializing it —
     the out-of-core reading path. *)
 
+val iter_trace :
+  ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> (unit, string) result
+(** [iter_trace spec f] streams a trace source through [f] record by
+    record, never holding it whole. [-] reads text records from stdin;
+    [trace:PATH] / [tbin:PATH] force the format; a bare path is
+    sniffed ([.ntb] extension or the [nttb/1] magic mean binary, text
+    otherwise). Unparsable text lines are skipped and tbin decode
+    failures are counted on [obs] under [tbin.*], never raised. A
+    source that cannot be opened is [Error "cannot open ..."], before
+    [f] sees any record. *)
+
 val load_trace :
   ?obs:Nt_obs.Obs.t -> ?tick:(unit -> unit) -> string -> Nt_trace.Record.t list
-(** Load a trace from a source spec: [-] reads text records from
-    stdin; [trace:PATH] / [tbin:PATH] force the format; a bare path is
-    sniffed ([.ntb] extension or the [nttb/1] magic mean binary, text
-    otherwise). [tick] fires once per record for progress meters. *)
+(** {!iter_trace} collected into a list, for consumers that need the
+    trace more than once. [tick] fires once per record for progress
+    meters. Raises [Sys_error] when the source cannot be opened. *)
 
 val analyze_stream :
   ?obs:Nt_obs.Obs.t ->
@@ -193,8 +190,9 @@ val analyze_stream :
   sections:Nt_par.Report.section list ->
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (Nt_par.Report.section * string) list * int
-(** {!analyze_records} without the list: the producer pushes records
-    (e.g. straight from a simulator sink or {!iter_tbin}) and the
-    report folds over fixed-size chunks with peak state of one chunk —
-    see {!Nt_par.Report.run_stream}. Byte-identical with the
-    materialized path at any [jobs]. *)
+(** Run the paper's analyses over the records a producer pushes (e.g.
+    {!iter_trace}, {!iter_tbin} or a simulator sink), in time order:
+    [jobs] worker domains (default 1), [records_per_shard]-sized chunks,
+    peak state of one chunk — see {!Nt_par.Report.run_stream}. The
+    rendered text is byte-identical at any [jobs]. Also returns the
+    record count. *)

@@ -21,108 +21,88 @@ let instrument obs pool ~shards ~tasks =
   Obs.add (Obs.counter obs ~help:"shard tasks executed" "par.tasks") tasks;
   Obs.add (Obs.counter obs ~help:"shards planned" "par.shards") shards
 
-let run_jobs ?(obs = Obs.null) ?timeline pool ~(records : Record.t array)
-    ~(slices : Shard.slice array) jobs =
-  Shard.check ~total:(Array.length records) slices;
-  let nslices = Array.length slices in
-  let tasks = ref [] in
-  let ntasks = ref 0 in
-  let finishers = ref [] in
-  List.iter
-    (fun (Job (p, k)) ->
-      let accs = Array.make (max nslices 1) None in
-      let times = Array.make (max nslices 1) 0. in
-      let span_name = "par.pass." ^ p.name in
-      (* Worker-private trace buffers, one per shard task: a worker
-         appends its own completed span, the coordinator absorbs them
-         in slice order at join — no cross-domain mutation. *)
-      let tbufs =
-        match timeline with
-        | None -> [||]
-        | Some _ -> Array.init (max nslices 1) (fun _ -> Timeline.buf ())
-      in
-      Array.iteri
-        (fun si (s : Shard.slice) ->
-          incr ntasks;
-          tasks :=
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              (* Shard 0 is the root: it starts the trace, so full
-                 sequential semantics apply to it directly. *)
-              let acc = if si = 0 then p.init () else p.init_shard () in
-              for i = s.off to s.off + s.len - 1 do
-                p.observe acc records.(i)
-              done;
-              let t1 = Unix.gettimeofday () in
-              times.(si) <- t1 -. t0;
-              if Array.length tbufs > 0 then
-                Timeline.buf_add tbufs.(si) ~name:span_name ~t0 ~t1;
-              accs.(si) <- Some acc)
-            :: !tasks)
-        slices;
-      finishers :=
-        (fun () ->
-          (match timeline with
-          | Some tl -> Array.iter (Timeline.absorb tl) tbufs
-          | None -> ());
-          for si = 0 to nslices - 1 do
-            Obs.span_record obs ("par.pass." ^ p.name) ~seconds:times.(si)
-          done;
-          let root =
-            if nslices = 0 then p.init ()
-            else match accs.(0) with Some a -> a | None -> assert false
-          in
-          let merged =
-            Obs.with_span obs "par.merge" (fun () ->
-                let acc = ref root in
-                for si = 1 to nslices - 1 do
-                  match accs.(si) with Some b -> acc := p.merge !acc b | None -> assert false
-                done;
-                !acc)
-          in
-          k merged)
-        :: !finishers)
-    jobs;
-  ignore (Pool.run_all pool (Array.of_list (List.rev !tasks)) : unit array);
-  instrument obs pool ~shards:nslices ~tasks:!ntasks;
-  (* Merges run on the coordinator, in job order then shard order —
-     part of the fixed plan that makes output worker-count-invariant. *)
-  List.iter (fun f -> f ()) (List.rev !finishers)
+(* One pool batch. Workers only measure: each task's wall time lands in
+   a slot of its own and, with a timeline, in a worker-private buffer;
+   the coordinator absorbs the buffers and records the spans in task
+   order after the join — no cross-domain mutation. *)
+let batch ~obs ~timeline ~shards pool (tasks : (string * (unit -> 'r)) array) =
+  let n = Array.length tasks in
+  let times = Array.make n 0. in
+  let tbufs =
+    match timeline with None -> [||] | Some _ -> Array.init n (fun _ -> Timeline.buf ())
+  in
+  let results =
+    Pool.run_all pool
+      (Array.mapi
+         (fun i (name, f) () ->
+           let t0 = Unix.gettimeofday () in
+           let r = f () in
+           let t1 = Unix.gettimeofday () in
+           times.(i) <- t1 -. t0;
+           if Array.length tbufs > 0 then Timeline.buf_add tbufs.(i) ~name ~t0 ~t1;
+           r)
+         tasks)
+  in
+  (match timeline with Some tl -> Array.iter (Timeline.absorb tl) tbufs | None -> ());
+  Array.iteri (fun i (name, _) -> Obs.span_record obs name ~seconds:times.(i)) tasks;
+  instrument obs pool ~shards ~tasks:n;
+  results
 
-let run_pass ?obs ?timeline pool ~records ~slices p =
-  let out = ref None in
-  run_jobs ?obs ?timeline pool ~records ~slices [ Job (p, fun a -> out := Some a) ];
-  match !out with Some a -> a | None -> assert false
+type slot = Slot : 'a pass * ('a -> unit) * 'a option ref -> slot
+
+(* A chunk task folds its records into a fresh accumulator and hands
+   back the commit that merges it, run later on the coordinator. *)
+let chunk_task ~first records len (Slot (p, _, merged)) =
+  ( "par.pass." ^ p.name,
+    fun () ->
+      let acc = if first then p.init () else p.init_shard () in
+      for i = 0 to len - 1 do
+        p.observe acc records.(i)
+      done;
+      fun () -> merged := Some (match !merged with None -> acc | Some prev -> p.merge prev acc) )
+
+let fold ?(obs = Obs.null) ?timeline ?(jobs = 1) ~chunk job_list produce =
+  if chunk <= 0 then invalid_arg "Driver.fold: chunk must be positive";
+  let slots = Array.of_list (List.map (fun (Job (p, k)) -> Slot (p, k, ref None)) job_list) in
+  let buf = ref [||] and fill = ref 0 and chunks = ref 0 and total = ref 0 in
+  let process () =
+    let first = !chunks = 0 and records = !buf and len = !fill in
+    (* Domains live for one batch only: a pool held across the stream
+       measured slower than respawning per chunk. *)
+    let commits =
+      Pool.with_pool ~jobs (fun pool ->
+          batch ~obs ~timeline ~shards:1 pool (Array.map (chunk_task ~first records len) slots))
+    in
+    (* merges run on the coordinator in chunk order, so the result is a
+       function of the input alone, whatever [jobs] says *)
+    Obs.with_span obs "par.merge" (fun () -> Array.iter (fun commit -> commit ()) commits);
+    incr chunks;
+    fill := 0
+  in
+  let push r =
+    if Array.length !buf = 0 then buf := Array.make chunk r;
+    !buf.(!fill) <- r;
+    incr fill;
+    incr total;
+    if !fill = chunk then process ()
+  in
+  produce push;
+  (* an empty stream still yields root accumulators *)
+  if !fill > 0 || !chunks = 0 then process ();
+  buf := [||];
+  Array.iter (fun (Slot (_, k, merged)) -> k (Option.get !merged)) slots;
+  !total
+[@@nt.raise_ok
+  "chunk is caller configuration rejected up front; every slot is committed by the chunk \
+   processed before the continuations run"]
 
 let map_chunks ?(obs = Obs.null) ?timeline ?(chunk = 512) pool ~name f items =
   if chunk <= 0 then invalid_arg "Driver.map_chunks: chunk must be positive";
-  let n = Array.length items in
-  if n = 0 then []
-  else begin
-    let slices = Shard.plan ~records_per_shard:chunk n in
-    let times = Array.make (Array.length slices) 0. in
-    let span_name = "par.pass." ^ name in
-    let tbufs =
-      match timeline with
-      | None -> [||]
-      | Some _ -> Array.init (Array.length slices) (fun _ -> Timeline.buf ())
-    in
-    let tasks =
-      Array.mapi
-        (fun i (s : Shard.slice) () ->
-          let t0 = Unix.gettimeofday () in
-          let r = f (Array.sub items s.off s.len) in
-          let t1 = Unix.gettimeofday () in
-          times.(i) <- t1 -. t0;
-          if Array.length tbufs > 0 then Timeline.buf_add tbufs.(i) ~name:span_name ~t0 ~t1;
-          r)
-        slices
-    in
-    let results = Pool.run_all pool tasks in
-    (match timeline with
-    | Some tl -> Array.iter (Timeline.absorb tl) tbufs
-    | None -> ());
-    Array.iter (fun s -> Obs.span_record obs ("par.pass." ^ name) ~seconds:s) times;
-    instrument obs pool ~shards:(Array.length slices) ~tasks:(Array.length slices);
-    Array.to_list results
-  end
+  let slices = Shard.plan ~records_per_shard:chunk (Array.length items) in
+  let span = "par.pass." ^ name in
+  let tasks =
+    Array.map (fun (s : Shard.slice) -> (span, fun () -> f (Array.sub items s.off s.len))) slices
+  in
+  if Array.length tasks = 0 then []
+  else Array.to_list (batch ~obs ~timeline ~shards:(Array.length slices) pool tasks)
+[@@nt.raise_ok "chunk is caller configuration rejected up front"]

@@ -80,126 +80,33 @@ let render_hourly h =
 
 let default_records_per_shard = 65536
 
-let run ?(obs = Obs.null) ?timeline ?(jobs = 1)
-    ?(records_per_shard = default_records_per_shard) ~sections records =
-  let slices = Shard.plan ~records_per_shard (Array.length records) in
-  Pool.with_pool ~jobs (fun pool ->
-      let want s = List.mem s sections in
-      let summary = ref None and hourly = ref None and names = ref None and log = ref None in
-      let batch =
-        List.concat
-          [
-            (if want `Summary then [ Driver.Job (Passes.summary, fun a -> summary := Some a) ]
-             else []);
-            (if want `Hourly then [ Driver.Job (Passes.hourly, fun a -> hourly := Some a) ]
-             else []);
-            (if want `Names then [ Driver.Job (Passes.names, fun a -> names := Some a) ] else []);
-            (if want `Runs then [ Driver.Job (Passes.io_log, fun a -> log := Some a) ] else []);
-          ]
-      in
-      Driver.run_jobs ~obs ?timeline pool ~records ~slices batch;
-      List.map
-        (fun s ->
-          let text =
-            match s with
-            | `Summary -> render_summary (Option.get !summary)
-            | `Hourly -> render_hourly (Option.get !hourly)
-            | `Names -> render_names (Option.get !names)
-            | `Runs ->
-                render_runs (A.Runs.table3 (Passes.runs ~obs ?timeline ~jump_blocks:10 pool (Option.get !log)))
-          in
-          (s, text))
-        sections)
-
-(* Streaming variant: the producer pushes records and never holds the
-   trace in memory. Chunks are exactly [records_per_shard] long, so
-   the fold replays the materialized shard plan — chunk 0 takes the
-   root accumulator, later chunks the shard-mode one, and merges
-   left-fold in chunk order — and the rendered text is byte-identical
-   with {!run} at any worker count. Within a chunk the wanted passes
-   fan across the pool (pass-parallel rather than shard-parallel), and
-   each pass's chunk time still lands on [par.pass.<name>]. *)
-
-type fold = Fold : 'a Driver.pass * 'a option ref -> fold
-
+(* Each section is one job of the chunked fold; its continuation
+   renders the merged accumulator. The runs section's terminal analysis
+   chunk-fans over the merged I/O log in a pool of its own. *)
 let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
     ?(records_per_shard = default_records_per_shard) ~sections produce =
-  if records_per_shard <= 0 then
-    invalid_arg "Report.run_stream: records_per_shard must be positive";
-  Pool.with_pool ~jobs (fun pool ->
-      let want s = List.mem s sections in
-      let summary = ref None and hourly = ref None and names = ref None and log = ref None in
-      let folds =
-        List.concat
-          [
-            (if want `Summary then [ Fold (Passes.summary, summary) ] else []);
-            (if want `Hourly then [ Fold (Passes.hourly, hourly) ] else []);
-            (if want `Names then [ Fold (Passes.names, names) ] else []);
-            (if want `Runs then [ Fold (Passes.io_log, log) ] else []);
-          ]
-      in
-      let process chunk ~first =
-        let tasks =
-          List.map
-            (fun (Fold (p, slot)) () ->
-              let t0 = Unix.gettimeofday () in
-              let acc = if first then p.Driver.init () else p.Driver.init_shard () in
-              Array.iter (p.Driver.observe acc) chunk;
-              let dt = Unix.gettimeofday () -. t0 in
-              let commit () =
-                slot := Some (match !slot with None -> acc | Some prev -> p.Driver.merge prev acc)
-              in
-              (p.Driver.name, dt, commit))
-            folds
-        in
-        let done_ = Pool.run_all pool (Array.of_list tasks) in
-        Array.iter
-          (fun (name, dt, commit) ->
-            Obs.span_record obs ("par.pass." ^ name) ~seconds:dt;
-            commit ())
-          done_
-      in
-      let chunk = ref [||] in
-      let fill = ref 0 in
-      let first = ref true in
-      let total = ref 0 in
-      let flush () =
-        if !fill > 0 then begin
-          let c = if !fill = Array.length !chunk then !chunk else Array.sub !chunk 0 !fill in
-          process c ~first:!first;
-          first := false;
-          fill := 0
-        end
-      in
-      let push r =
-        if Array.length !chunk = 0 then chunk := Array.make records_per_shard r;
-        !chunk.(!fill) <- r;
-        incr fill;
-        incr total;
-        if !fill = records_per_shard then flush ()
-      in
-      produce push;
-      flush ();
-      (* an empty stream still yields root accumulators, like {!run} *)
-      if !first then process [||] ~first:true;
-      chunk := [||];
-      let texts =
-        List.map
-          (fun s ->
-            let text =
-              match s with
-              | `Summary -> render_summary (Option.get !summary)
-              | `Hourly -> render_hourly (Option.get !hourly)
-              | `Names -> render_names (Option.get !names)
-              | `Runs ->
-                  render_runs
-                    (A.Runs.table3
-                       (Passes.runs ~obs ?timeline ~jump_blocks:10 pool (Option.get !log)))
-            in
-            (s, text))
-          sections
-      in
-      (texts, !total))
-[@@nt.raise_ok
-  "records_per_shard is caller configuration rejected up front; each Option.get reads a slot \
-   the matching fold above is guaranteed to have committed"]
+  let texts = Array.make (List.length sections) "" in
+  let job i s =
+    let out text = texts.(i) <- text in
+    match s with
+    | `Summary -> Driver.Job (Passes.summary, fun a -> out (render_summary a))
+    | `Hourly -> Driver.Job (Passes.hourly, fun a -> out (render_hourly a))
+    | `Names -> Driver.Job (Passes.names, fun a -> out (render_names a))
+    | `Runs ->
+        Driver.Job
+          ( Passes.io_log,
+            fun log ->
+              Pool.with_pool ~jobs (fun pool ->
+                  out
+                    (render_runs
+                       (A.Runs.table3 (Passes.runs ~obs ?timeline ~jump_blocks:10 pool log)))) )
+  in
+  let total =
+    Driver.fold ~obs ?timeline ~jobs ~chunk:records_per_shard (List.mapi job sections) produce
+  in
+  (List.mapi (fun i s -> (s, texts.(i))) sections, total)
+
+let run ?obs ?timeline ?jobs ?records_per_shard ~sections records =
+  fst
+    (run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections (fun push ->
+         Array.iter push records))

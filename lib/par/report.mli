@@ -1,41 +1,20 @@
-(** The nfsstats report, computed by the sharded engine and rendered
-    deterministically.
+(** The nfsstats report, computed by the chunked fold
+    ({!Driver.fold}) and rendered deterministically.
 
     Rendering goes through {!Nt_util.Tables.render} into strings, so a
-    report is a value that can be golden-tested; and because the shard
-    plan, merge order and terminal chunking are all independent of the
-    worker count, the same trace renders to byte-identical text at any
-    [jobs] setting. *)
+    report is a value that can be golden-tested; and because the
+    chunking, merge order and terminal chunking are all independent of
+    the worker count, the same trace renders to byte-identical text at
+    any [jobs] setting. *)
 
 type section = [ `Summary | `Runs | `Names | `Hourly ]
 
 val section_name : section -> string
 
 val default_records_per_shard : int
-(** 65536 — small enough to give a day-scale trace real parallelism,
-    large enough that per-shard constant costs stay negligible. *)
-
-val run :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  ?jobs:int ->
-  ?records_per_shard:int ->
-  sections:section list ->
-  Nt_trace.Record.t array ->
-  (section * string) list
-(** Run the requested sections over a time-sorted record array with
-    [jobs] worker domains (default 1 — inline, no domains; 0 = the
-    machine's recommended count) and [records_per_shard]-sized shards
-    (default 65536). All requested passes share one task batch; the
-    runs section additionally chunk-fans its terminal analysis over the
-    merged I/O log. Results come back in request order. *)
-
-val render_summary : Nt_analysis.Summary.t -> string
-val render_runs : Nt_analysis.Runs.table3 -> string
-val render_names : Nt_analysis.Names.t -> string
-val render_hourly : Nt_analysis.Hourly.t -> string
-(** The individual section renderers, exposed for tests that build
-    accumulators by hand. *)
+(** 65536 records per chunk — small enough to bound the fold's peak
+    state, large enough that per-chunk constant costs (a pool batch,
+    the merges) stay negligible. *)
 
 val run_stream :
   ?obs:Nt_obs.Obs.t ->
@@ -45,11 +24,30 @@ val run_stream :
   sections:section list ->
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (section * string) list * int
-(** [run_stream ~sections produce] is {!run} without the array:
-    [produce push] drives the trace through [push] record by record,
-    the report folds over fixed [records_per_shard] chunks that replay
-    the materialized shard plan exactly (root accumulator for chunk 0,
-    shard-mode after, merges in chunk order), and the rendered text is
-    byte-identical with {!run} on the same records at any [jobs].
-    Peak state is one chunk plus the pass accumulators — the out-of-core
-    path. Also returns the record count. *)
+(** [run_stream ~sections produce] runs the requested sections over
+    the records [produce push] drives through [push], in time order,
+    and returns them rendered in request order with the record count.
+    The report is a {!Driver.fold} over fixed [records_per_shard]
+    chunks (default 65536) with [jobs] worker domains per batch
+    (default 1 — inline, no domains; 0 = the machine's recommended
+    count); the runs section additionally chunk-fans its terminal
+    analysis over the merged I/O log. Peak state is one chunk plus the
+    pass accumulators — the trace is never held whole — and the text
+    is byte-identical at any [jobs]. *)
+
+val run :
+  ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
+  ?jobs:int ->
+  ?records_per_shard:int ->
+  sections:section list ->
+  Nt_trace.Record.t array ->
+  (section * string) list
+(** {!run_stream} over an array already in memory. *)
+
+val render_summary : Nt_analysis.Summary.t -> string
+val render_runs : Nt_analysis.Runs.table3 -> string
+val render_names : Nt_analysis.Names.t -> string
+val render_hourly : Nt_analysis.Hourly.t -> string
+(** The individual section renderers, exposed for tests that build
+    accumulators by hand. *)

@@ -1,5 +1,3 @@
-module Record = Nt_trace.Record
-
 type slice = { off : int; len : int }
 
 let plan ~records_per_shard n =
@@ -11,34 +9,3 @@ let plan ~records_per_shard n =
         let off = i * records_per_shard in
         { off; len = min records_per_shard (n - off) })
   end
-
-let plan_by_time ~window (records : Record.t array) =
-  if window <= 0. then invalid_arg "Shard.plan_by_time: window must be positive";
-  let n = Array.length records in
-  if n = 0 then [||]
-  else begin
-    let slices = ref [] in
-    let start = ref 0 in
-    let boundary = ref (records.(0).Record.time +. window) in
-    for i = 0 to n - 1 do
-      if records.(i).Record.time >= !boundary then begin
-        slices := { off = !start; len = i - !start } :: !slices;
-        start := i;
-        (* Skip windows nothing fell into; shards are never empty. *)
-        while records.(i).Record.time >= !boundary do
-          boundary := !boundary +. window
-        done
-      end
-    done;
-    slices := { off = !start; len = n - !start } :: !slices;
-    Array.of_list (List.rev !slices)
-  end
-
-let check ~total slices =
-  let next = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.off <> !next || s.len < 0 then invalid_arg "Shard.check: slices must tile the input";
-      next := s.off + s.len)
-    slices;
-  if !next <> total then invalid_arg "Shard.check: slices must cover the input"

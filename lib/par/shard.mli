@@ -1,12 +1,9 @@
-(** Shard planning: cutting a time-sorted record array into contiguous
-    slices for the map-merge driver.
+(** Fixed-size planning: cutting [0, n) into contiguous slices.
 
-    A plan is a function of the input alone — never of the worker
-    count — so the same trace always produces the same shards, the same
-    merge sequence and therefore byte-identical reports whatever
-    [--jobs] says. Slices tile the input: shard 0 becomes the root
-    accumulator (full sequential semantics), later shards run in shard
-    mode and merge back in time order. *)
+    A plan is a function of the input length alone — never of the
+    worker count — so the same input always produces the same slices
+    and the same merge sequence. {!Driver.map_chunks} uses it to fan
+    terminal analyses across the pool. *)
 
 type slice = { off : int; len : int }
 
@@ -14,16 +11,3 @@ val plan : records_per_shard:int -> int -> slice array
 (** [plan ~records_per_shard n] cuts [0, n) into bounded-size
     contiguous slices; the last one may be short. Empty input gives an
     empty plan. Raises [Invalid_argument] on a non-positive bound. *)
-
-val plan_by_time : window:float -> Nt_trace.Record.t array -> slice array
-(** Cut at fixed wall-clock boundaries ([window] seconds from the
-    first record's time) instead of fixed record counts. Windows in
-    which nothing happened produce no shard, so slices are never
-    empty — an empty shard would otherwise still be merge-neutral, but
-    there is no point scheduling it. *)
-
-val check : total:int -> slice array -> unit
-(** Validate that slices exactly tile [0, total) in order; raises
-    [Invalid_argument] otherwise. The driver runs this on every plan it
-    is handed, so a bad hand-built plan fails fast instead of silently
-    dropping records. *)

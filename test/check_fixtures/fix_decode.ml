@@ -1,22 +1,9 @@
 (* Decode-purity fixtures: this unit is in the configured decode scope. *)
 
-exception Bad of string
-
-(* violation: decode-raise (untyped stdlib failure on a decode path
-   that exposes no result/option to the caller) *)
+(* untyped stdlib failure on a decode path that exposes no
+   result/option to the caller: exn-escape's, once reachable from a
+   root (see test_check) *)
 let decode_u32 (b : bytes) = if Bytes.length b < 4 then failwith "short" else Bytes.get_uint8 b 0
-
-(* clean twin: result-returning decoders may use untyped failures for
-   genuinely unreachable branches *)
-let decode_checked (b : bytes) =
-  if Bytes.length b > 1024 then failwith "oversized" else Ok (Bytes.length b)
-
-(* clean twin: a typed project exception is the counted failure channel *)
-let decode_tagged (b : bytes) = if Bytes.length b = 0 then raise (Bad "empty") else Bytes.get_uint8 b 0
-
-(* clean twin: raising inside try in the same function is local control
-   flow, not an escape *)
-let decode_first (b : bytes) = try if Bytes.length b = 0 then raise Exit else 1 with Exit -> 0
 
 (* violation: decode-partial-match (compiled with -w -a so only ntcheck
    sees it) *)

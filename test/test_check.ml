@@ -33,21 +33,17 @@ let run ?(config = fixture_config) () = Engine.run config fixture_dir
 let test_loads_cleanly () =
   let t = run () in
   Alcotest.(check (list (pair string string))) "no unreadable cmts" [] (Engine.load_errors t);
-  Alcotest.(check int) "all fixture units scanned" 25 (Engine.units_scanned t)
+  Alcotest.(check int) "all fixture units scanned" 24 (Engine.units_scanned t)
 
-(* decode-raise is seeded twice: once in fix_decode and once in the
-   tbin-shaped fixture; every other rule fires on exactly one line. *)
 let test_each_rule_fires_exactly_once () =
   let t = run () in
   List.iter
     (fun (r : Rule.t) ->
-      let expect = if r.Rule.id = "decode-raise" then 2 else 1 in
       Alcotest.(check int)
-        (Printf.sprintf "%s fires exactly %d time(s)" r.Rule.id expect)
-        expect (Engine.rule_count t r.Rule.id))
+        (Printf.sprintf "%s fires exactly once" r.Rule.id)
+        1 (Engine.rule_count t r.Rule.id))
     Rule.all;
-  Alcotest.(check int) "one finding per seeded violation, nothing else"
-    (List.length Rule.all + 1)
+  Alcotest.(check int) "one finding per seeded violation, nothing else" (List.length Rule.all)
     (List.length (Engine.findings t))
 
 let contains hay needle =
@@ -65,7 +61,7 @@ let test_clean_twins_stay_silent () =
             Alcotest.failf "finding %s in clean twin %s" f.Finding.rule.Rule.id f.Finding.file)
         [
           "fix_unreachable"; "fix_acc_covered"; "fix_driver"; "fix_testreg"; "fix_hot_clean";
-          "fix_hot_ok"; "fix_bound_clean"; "fix_bound_ok"; "fix_tbin_clean"; "fix_exn_clean";
+          "fix_hot_ok"; "fix_bound_clean"; "fix_bound_ok"; "fix_exn_clean";
           "fix_exn_ok"; "fix_codec_clean"; "fix_formats";
         ])
     (Engine.findings t)
@@ -97,15 +93,15 @@ let test_merge_bookkeeping () =
 let test_per_rule_cap () =
   let t = run ~config:{ fixture_config with Engine.max_per_rule = 0 } () in
   Alcotest.(check int) "no findings under a zero cap" 0 (List.length (Engine.findings t));
-  Alcotest.(check int) "every violation counted as overflow"
-    (List.length Rule.all + 1)
+  Alcotest.(check int) "every violation counted as overflow" (List.length Rule.all)
     (Engine.overflow t);
   Alcotest.(check int) "suppression is not capped" 5 (Engine.allowed t)
 
 let test_disabled_rule () =
   let t = run ~config:{ fixture_config with Engine.disabled = [ "lib-stdout" ] } () in
   Alcotest.(check int) "disabled rule silent" 0 (Engine.rule_count t "lib-stdout");
-  Alcotest.(check int) "everything else unaffected" (List.length Rule.all)
+  Alcotest.(check int) "everything else unaffected"
+    (List.length Rule.all - 1)
     (List.length (Engine.findings t))
 
 let test_enabled_only () =
@@ -148,6 +144,25 @@ let test_exn_report_rows () =
   (* the closure is the un-annotated graph: the accepted spill still shows *)
   Alcotest.(check bool) "annotated callee still censused" true
     (List.exists (fun (d, _, _, _) -> d = "Fix_exn_ok.spill") rows)
+
+(* decode-raise was retired as subsumed by exn-escape: each function it
+   used to flag (the fix_decode and tbin-shaped fixtures), once reachable
+   from a counted-never-raised root, trips exn-escape on that root. *)
+let test_exn_escape_subsumes_decode_raise () =
+  let roots = [ "Fix_decode.decode_u32"; "Fix_tbin.decode_uv" ] in
+  let t = run ~config:{ fixture_config with Engine.exn_roots = roots } () in
+  List.iter
+    (fun root ->
+      let hit =
+        List.exists
+          (fun (f : Finding.t) ->
+            f.Finding.rule.Rule.id = "exn-escape" && contains f.Finding.detail root)
+          (Engine.findings t)
+      in
+      if not hit then Alcotest.failf "exn-escape misses the decode-raise fixture %s" root)
+    roots;
+  Alcotest.(check int) "one exn-escape finding per former decode-raise site" 2
+    (Engine.rule_count t "exn-escape")
 
 let test_sarif_output () =
   let t = run () in
@@ -247,6 +262,8 @@ let () =
             test_findings_are_sorted_and_json_escapes;
           Alcotest.test_case "may-raise report rows" `Quick test_exn_report_rows;
           Alcotest.test_case "sarif output well-formed" `Quick test_sarif_output;
+          Alcotest.test_case "exn-escape subsumes decode-raise" `Quick
+            test_exn_escape_subsumes_decode_raise;
         ] );
       ( "exnflow",
         [

@@ -1,7 +1,8 @@
 (* Parallel sharded analysis engine tests.
 
    The centerpiece is a differential oracle: for randomized workloads,
-   shard sizes and shard counts, merge-of-shards must equal the
+   shard sizes and shard counts (shards being the chunks of
+   Driver.fold), merge-of-shards must equal the
    sequential single-pass result for every analysis pass — exactly for
    integers, within 1e-9 relative for float sums (reassociation).
    Around it: shard-boundary unit tests (runs, lifetimes and reorder
@@ -247,9 +248,15 @@ let run_seq (pass : 'a Driver.pass) records =
   Array.iter (pass.Driver.observe acc) records;
   acc
 
-let run_sharded ?(jobs = test_jobs) pass ~shard_len records =
-  let slices = Shard.plan ~records_per_shard:shard_len (Array.length records) in
-  Pool.with_pool ~jobs (fun pool -> Driver.run_pass pool ~records ~slices pass)
+let run_sharded ?obs ?timeline ?(jobs = test_jobs) pass ~shard_len records =
+  let out = ref None in
+  let n =
+    Driver.fold ?obs ?timeline ~jobs ~chunk:shard_len
+      [ Driver.Job (pass, fun a -> out := Some a) ]
+      (fun push -> Array.iter push records)
+  in
+  cki "records folded" (Array.length records) n;
+  Option.get !out
 
 (* --- per-pass equivalence checks --- *)
 
@@ -439,6 +446,9 @@ let prop_merge_laws name ~symmetric ~build ~build_shard ~empty ~empty_shard ~mer
       and s3 () = build_shard (slice records j len) in
       eq (build records) (merge (build records) (empty_shard ()));
       eq (build records) (merge (empty ()) (build_shard records));
+      eq
+        (merge (merge (r1 ()) (s2 ())) (s3 ()))
+        (merge (merge (merge (r1 ()) (empty_shard ())) (s2 ())) (s3 ()));
       (if symmetric then
          eq
            (merge (merge (r1 ()) (s2 ())) (s3 ()))
@@ -776,12 +786,20 @@ let test_days_empty_shard_neutral () =
 let test_zero_length_slice_is_neutral () =
   let records = gen_records ~seed:3 ~n:40 in
   let n = Array.length records in
-  let slices = [| { Shard.off = 0; len = 17 }; { Shard.off = 17; len = 0 }; { Shard.off = 17; len = n - 17 } |] in
-  let p =
-    Pool.with_pool ~jobs:test_jobs (fun pool ->
-        Driver.run_pass pool ~records ~slices Passes.summary)
+  let p = Passes.summary in
+  let build init a b =
+    let acc = init () in
+    for i = a to b - 1 do
+      p.Driver.observe acc records.(i)
+    done;
+    acc
   in
-  check_summary_eq (run_seq Passes.summary records) p
+  let merged =
+    p.Driver.merge
+      (p.Driver.merge (build p.Driver.init 0 17) (p.Driver.init_shard ()))
+      (build p.Driver.init_shard 17 n)
+  in
+  check_summary_eq (run_seq p records) merged
 
 (* --- determinism and the golden report --- *)
 
@@ -864,58 +882,40 @@ let test_pool_normalizes_jobs () =
 
 let test_plan_tiles () =
   let slices = Shard.plan ~records_per_shard:3 10 in
-  Shard.check ~total:10 slices;
   Alcotest.(check int) "shard count" 4 (Array.length slices);
+  Array.iteri
+    (fun i (sl : Shard.slice) -> Alcotest.(check int) "contiguous" (3 * i) sl.Shard.off)
+    slices;
   Alcotest.(check int) "last is short" 1 slices.(3).Shard.len
 
 let test_plan_empty () =
   Alcotest.(check int) "no shards for no records" 0 (Array.length (Shard.plan ~records_per_shard:5 0))
-
-let test_plan_by_time () =
-  let t0 = Tw.week_start in
-  let records =
-    Array.map
-      (fun dt -> getattr_rec ~time:(t0 +. dt) ~fh:fh_a ~size:0 ())
-      [| 0.; 1.; 2.; 65.; 66.; 300. |]
-  in
-  let slices = Shard.plan_by_time ~window:60. records in
-  Shard.check ~total:6 slices;
-  Alcotest.(check int) "three populated windows" 3 (Array.length slices);
-  Alcotest.(check (list int)) "cut at the minute marks" [ 3; 2; 1 ]
-    (Array.to_list (Array.map (fun s -> s.Shard.len) slices))
-
-let test_check_rejects_gaps () =
-  (match Shard.check ~total:4 [| { Shard.off = 0; len = 2 }; { Shard.off = 3; len = 1 } |] with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  match Shard.check ~total:4 [| { Shard.off = 0; len = 2 } |] with
-  | () -> Alcotest.fail "expected Invalid_argument (short cover)"
-  | exception Invalid_argument _ -> ()
 
 (* --- driver observability --- *)
 
 let test_driver_instruments_obs () =
   let records = gen_records ~seed:11 ~n:120 in
   let obs = Obs.create () in
-  let shard_len = 25 in
-  let expected_shards = (Array.length records + shard_len - 1) / shard_len in
-  let _ =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Driver.run_pass ~obs pool ~records
-          ~slices:(Shard.plan ~records_per_shard:shard_len (Array.length records))
-          Passes.summary)
-  in
+  let timeline = Nt_obs.Timeline.create () in
+  let chunk = 25 in
+  let chunks = (Array.length records + chunk - 1) / chunk in
+  ignore (run_sharded ~obs ~timeline ~jobs:2 Passes.summary ~shard_len:chunk records : Summary.t);
   let snap = Obs.snapshot obs in
-  Alcotest.(check int) "par.shards counter" expected_shards (Obs.sum_counter snap "par.shards");
-  Alcotest.(check int) "par.tasks counter" expected_shards (Obs.sum_counter snap "par.tasks");
+  Alcotest.(check int) "par.shards counter" chunks (Obs.sum_counter snap "par.shards");
+  Alcotest.(check int) "par.tasks counter" chunks (Obs.sum_counter snap "par.tasks");
   Alcotest.(check (option (float 1e-9))) "par.jobs gauge" (Some 2.)
     (Obs.get_gauge snap "par.jobs");
   (match Obs.get_span snap "par.pass.summary" with
   | None -> Alcotest.fail "missing par.pass.summary span"
-  | Some sp -> Alcotest.(check int) "one span per shard" expected_shards sp.Obs.count);
-  match Obs.get_span snap "par.merge" with
+  | Some sp -> Alcotest.(check int) "one span per chunk" chunks sp.Obs.count);
+  (match Obs.get_span snap "par.merge" with
   | None -> Alcotest.fail "missing par.merge span"
-  | Some sp -> Alcotest.(check int) "one merge span" 1 sp.Obs.count
+  | Some sp -> Alcotest.(check int) "one merge span per chunk" chunks sp.Obs.count);
+  (* one B/E pair per chunk, on the worker domains' tracks *)
+  Alcotest.(check int) "one timeline interval per chunk" (2 * chunks)
+    (Nt_obs.Timeline.events timeline);
+  Alcotest.(check bool) "worker tracks in the timeline" true
+    (Nt_obs.Timeline.tracks_count timeline >= 2)
 
 let () =
   Alcotest.run "nt_par"
@@ -996,8 +996,6 @@ let () =
         [
           Alcotest.test_case "plan tiles the input" `Quick (check_unit test_plan_tiles);
           Alcotest.test_case "empty input, empty plan" `Quick (check_unit test_plan_empty);
-          Alcotest.test_case "time windows cut on the clock" `Quick (check_unit test_plan_by_time);
-          Alcotest.test_case "check rejects bad plans" `Quick (check_unit test_check_rejects_gaps);
         ] );
       ( "observability",
         [

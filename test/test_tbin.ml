@@ -730,6 +730,11 @@ let simulated_records () =
        ());
   List.rev !out
 
+let analyze_list ~jobs records =
+  fst
+    (Nt_core.Pipeline.analyze_stream ~jobs ~records_per_shard:64 ~sections (fun push ->
+         List.iter push records))
+
 let test_differential_text_tbin_stream () =
   let records = simulated_records () in
   Alcotest.(check bool) "workload produced records" true (List.length records > 100);
@@ -746,19 +751,15 @@ let test_differential_text_tbin_stream () =
           let from_sniff = Nt_core.Pipeline.load_trace tbin_path in
           if from_tbin <> records then Alcotest.failf "tbin: load changed the records";
           if from_sniff <> records then Alcotest.failf "sniffed load changed the records";
+          let lint_want =
+            List.map Nt_lint.Finding.to_string
+              (Nt_lint.Engine.findings (Nt_core.Pipeline.lint_records records))
+          in
           List.iter
             (fun jobs ->
               let label = Printf.sprintf "jobs %d" jobs in
-              let base =
-                render label
-                  (Nt_core.Pipeline.analyze_records ~jobs ~records_per_shard:64 ~sections
-                     from_text)
-              in
-              let tbin =
-                render label
-                  (Nt_core.Pipeline.analyze_records ~jobs ~records_per_shard:64 ~sections
-                     from_tbin)
-              in
+              let base = render label (analyze_list ~jobs from_text) in
+              let tbin = render label (analyze_list ~jobs from_tbin) in
               let streamed, n =
                 Nt_core.Pipeline.analyze_stream ~jobs ~records_per_shard:64 ~sections
                   (fun emit -> ignore (Nt_core.Pipeline.iter_tbin tbin_path emit))
@@ -768,8 +769,39 @@ let test_differential_text_tbin_stream () =
                 (List.length records) n;
               Alcotest.(check string) (label ^ ": text vs tbin") base tbin;
               Alcotest.(check string) (label ^ ": text vs streamed") base
-                (render label streamed))
+                (render label streamed);
+              (* every source spec through the producer the CLIs use,
+                 linted inside the same push *)
+              List.iter
+                (fun spec ->
+                  let lint = Nt_lint.Engine.create Nt_lint.Engine.default_config in
+                  let texts, n =
+                    Nt_core.Pipeline.analyze_stream ~jobs ~records_per_shard:64 ~sections
+                      (fun push ->
+                        match
+                          Nt_core.Pipeline.iter_trace spec (fun r ->
+                              Nt_lint.Engine.observe lint r;
+                              push r)
+                        with
+                        | Ok () -> ()
+                        | Error msg -> Alcotest.failf "%s: %s" spec msg)
+                  in
+                  let what = Printf.sprintf "%s: iter_trace %s" label spec in
+                  Alcotest.(check int) (what ^ " record count") (List.length records) n;
+                  Alcotest.(check string) what base (render label texts);
+                  Alcotest.(check (list string))
+                    (what ^ " lint in the push == lint_records")
+                    lint_want
+                    (List.map Nt_lint.Finding.to_string (Nt_lint.Engine.findings lint)))
+                [ text_path; "trace:" ^ text_path; "tbin:" ^ tbin_path; tbin_path ])
             [ 1; 4 ]))
+
+let test_iter_trace_cannot_open () =
+  match Nt_core.Pipeline.iter_trace "tbin:/nonexistent/trace.ntb" (fun _ -> ()) with
+  | Ok () -> Alcotest.fail "expected an open error"
+  | Error msg ->
+      Alcotest.(check bool) "one-line cannot-open message" true
+        (String.starts_with ~prefix:"cannot open " msg && not (String.contains msg '\n'))
 
 let test_differential_pcap_leg () =
   (* The capture path: pcap -> records, then those records through the
@@ -792,12 +824,8 @@ let test_differential_pcap_leg () =
       let st, out = Tbin.decode_string (Tbin.encode_string ~frame_records:64 captured) in
       Alcotest.(check int) "captured records round-trip clean" 0 (Tbin.failures st);
       if out <> captured then Alcotest.failf "tbin changed the captured records";
-      let base =
-        render "pcap" (Nt_core.Pipeline.analyze_records ~jobs:4 ~records_per_shard:64 ~sections captured)
-      in
-      let via_tbin =
-        render "pcap" (Nt_core.Pipeline.analyze_records ~jobs:4 ~records_per_shard:64 ~sections out)
-      in
+      let base = render "pcap" (analyze_list ~jobs:4 captured) in
+      let via_tbin = render "pcap" (analyze_list ~jobs:4 out) in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
 
 (* ---------- suite ---------- *)
@@ -857,5 +885,7 @@ let () =
           Alcotest.test_case "text vs tbin vs streamed, jobs 1 and 4" `Slow
             test_differential_text_tbin_stream;
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
+          Alcotest.test_case "unopenable source is one error line" `Quick
+            test_iter_trace_cannot_open;
         ] );
     ]
