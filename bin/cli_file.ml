@@ -1,0 +1,17 @@
+(* Opening the files named on a command line: an unopenable path is one
+   "<prog>: cannot open ..." line and exit 1, never an uncaught
+   Sys_error. *)
+
+let fail prog msg =
+  Printf.eprintf "%s: %s\n%!" prog msg;
+  exit 1
+
+let input prog path =
+  match open_in_bin path with
+  | exception Sys_error msg -> fail prog ("cannot open " ^ msg)
+  | ic when Sys.is_directory path ->
+      close_in_noerr ic;
+      fail prog ("cannot read " ^ path ^ ": Is a directory")
+  | ic -> ic
+
+let output prog path = try open_out_bin path with Sys_error msg -> fail prog ("cannot open " ^ msg)

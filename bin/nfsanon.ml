@@ -18,8 +18,8 @@ let run input output seed omit obs_opts =
     Nt_trace.Anonymize.create ~obs ?seed:(Option.map Int64.of_string seed) config
   in
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
-  let ic = if input = "-" then stdin else open_in input in
-  let oc = if output = "-" then stdout else open_out output in
+  let ic = if input = "-" then stdin else Cli_file.input "nfsanon" input in
+  let oc = if output = "-" then stdout else Cli_file.output "nfsanon" output in
   let n = ref 0 in
   Nt_obs.Obs.with_span obs "anonymize" (fun () ->
       Seq.iter

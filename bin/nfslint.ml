@@ -63,9 +63,7 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
                 Lint.observe t r))
       in
       match opened with
-      | Error msg ->
-          Printf.eprintf "nfslint: %s\n%!" msg;
-          1
+      | Error msg -> Cli_file.fail "nfslint" msg
       | Ok () ->
           Obs_cli.finish prog;
           let findings = Lint.findings t in

@@ -109,9 +109,7 @@ let run input obs_opts =
             Nt_obs.Sampler.tick sampler)
           input)
   with
-  | exception Sys_error msg ->
-      Printf.eprintf "nfsreplay: %s\n%!" msg;
-      1
+  | exception Sys_error msg -> Cli_file.fail "nfsreplay" msg
   | records ->
       Printf.eprintf "nfsreplay: %d records loaded\n%!" (List.length records);
       let results =

@@ -27,9 +27,7 @@ let run input analyses jobs shard_records lint obs_opts =
                   push r)))
   in
   match !opened with
-  | Error msg ->
-      Printf.eprintf "nfsstats: %s\n%!" msg;
-      1
+  | Error msg -> Cli_file.fail "nfsstats" msg
   | Ok () ->
       Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
       Printf.eprintf "nfsstats: %d records loaded\n%!" n;

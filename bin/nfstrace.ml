@@ -7,19 +7,19 @@ open Cmdliner
 module Obs = Nt_obs.Obs
 
 let run input output out_tbin salvage lint obs_opts =
-  let ic = if input = "-" then stdin else open_in_bin input in
+  let ic = if input = "-" then stdin else Cli_file.input "nfstrace" input in
   let obs = Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfstrace" in
   let decode () =
     let reader = Nt_net.Pcap.reader_of_channel ~obs ~salvage ic in
-    let oc = if output = "-" then stdout else open_out output in
+    let oc = if output = "-" then stdout else Cli_file.output "nfstrace" output in
     let tbin =
       match out_tbin with
       | None -> None
       | Some path ->
-          let toc = open_out_bin path in
+          let toc = Cli_file.output "nfstrace" path in
           Some (toc, Nt_tbin.Writer.create (output_string toc))
     in
     let linter =

@@ -26,7 +26,7 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
     match output with
     | "-" -> f stdout
     | path ->
-        let oc = open_out_bin path in
+        let oc = Cli_file.output "nfswlgen" path in
         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
   in
   (* Optional side copy of the record stream in the compact binary
@@ -35,7 +35,7 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
     match out_tbin with
     | None -> None
     | Some path ->
-        let oc = open_out_bin path in
+        let oc = Cli_file.output "nfswlgen" path in
         Some (oc, Nt_tbin.Writer.create (output_string oc))
   in
   let copy r = match tbin_copy with Some (_, w) -> Nt_tbin.Writer.add w r | None -> () in

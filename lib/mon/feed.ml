@@ -1,5 +1,6 @@
 module Record = Nt_trace.Record
 module Obs = Nt_obs.Obs
+module Pcap = Nt_net.Pcap
 
 type pull_result = [ `Record of Record.t | `Idle | `Closed ]
 
@@ -62,9 +63,11 @@ type tail = {
   mutable consumed : int64;
   mutable delivered : int64;
   mutable read_off : int64;  (* fd offset = consumed + pending length *)
+  on_reset : unit -> unit;  (* the format's own restart at a reopen *)
+  mutable damage_seen : int;  (* decoder damage already on parse_errors *)
 }
 
-let tail_create ~obs path =
+let tail_create ?(on_reset = fun () -> ()) ~obs path =
   {
     path;
     cs = counters obs;
@@ -74,19 +77,26 @@ let tail_create ~obs path =
     consumed = 0L;
     delivered = 0L;
     read_off = 0L;
+    on_reset;
+    damage_seen = 0;
   }
 
 let tail_close t =
   (match t.fd with Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
   t.fd <- None
 
-let tail_reset t =
+(* Continue reading at [off] without touching the delivered position. *)
+let tail_jump t off =
   tail_close t;
-  t.ino <- -1;
   t.pending <- "";
-  t.consumed <- 0L;
-  t.delivered <- 0L;
-  t.read_off <- 0L
+  t.consumed <- off;
+  t.read_off <- off
+
+(* Start over at [off]. An absent file is fine: the offset sticks and
+   applies on open. *)
+let tail_seek t off =
+  tail_jump t off;
+  t.delivered <- off
 
 let tail_ensure_open t =
   match t.fd with
@@ -126,9 +136,10 @@ let rec tail_fill t =
       in
       if truncated || rotated then begin
         Obs.inc t.cs.c_reopens;
-        tail_reset t;
-        (* retry once against the fresh file; reset leaves fd closed, so
-           the recursive call reopens at offset 0 and cannot loop *)
+        tail_seek t 0L;
+        t.on_reset ();
+        (* retry once against the fresh file; the seek leaves fd closed,
+           so the recursive call reopens at offset 0 and cannot loop *)
         tail_fill t
       end
       else
@@ -146,13 +157,21 @@ let tail_consume t n =
   t.consumed <- Int64.add t.consumed (Int64.of_int n);
   Obs.add t.cs.c_bytes n
 
-let tail_seek t off =
-  tail_reset t;
-  t.consumed <- off;
-  t.delivered <- off;
-  t.read_off <- off;
-  match tail_ensure_open t with Some _ -> true | None -> true
-(* an absent file is fine: the offset sticks and applies on open *)
+(* The binary tails hand every byte read to their format's decoder
+   ([feed]) and mirror its running damage total onto
+   mon.feed.parse_errors, so feed dashboards need not know the format.
+   True when anything new arrived. *)
+let tail_decode t ~feed ~damage =
+  if tail_fill t then begin
+    let chunk = t.pending in
+    tail_consume t (String.length chunk);
+    feed chunk;
+    let n = damage () in
+    Obs.add t.cs.c_parse_errors (n - t.damage_seen);
+    t.damage_seen <- n;
+    true
+  end
+  else false
 
 (* --- text trace tail --- *)
 
@@ -193,92 +212,37 @@ let trace_tail ?obs path =
     ~pos:(fun () -> Some t.delivered)
     ~seek:(fun off ->
       Queue.clear queue;
-      tail_seek t off)
+      tail_seek t off;
+      true)
     ~close:(fun () -> tail_close t)
     pull_fn
 
 (* --- pcap tail --- *)
 
-let magic_us = 0xA1B2C3D4
-let magic_ns = 0xA1B23C4D
-let pcap_global_header = 24
-let pcap_record_header = 16
-let max_frame = 1 lsl 18 (* longer claimed frames are treated as corruption *)
-
-type pcap_state = {
-  mutable header_seen : bool;
-  mutable big_endian : bool;
-  mutable nanosecond : bool;
-}
-
-let u32 ~be s off =
-  let b i = Char.code s.[off + i] in
-  if be then (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-  else (b 3 lsl 24) lor (b 2 lsl 16) lor (b 1 lsl 8) lor b 0
-
 let pcap_tail ?obs path =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  let t = tail_create ~obs path in
+  (* The pcap decoder owns the format: byte order, tick unit, resync
+     and loss counters. A live feed must never raise, so it always
+     salvages; its damage counts one per corrupt region or refused file
+     header. Records emit synchronously from [feed_packet], so the
+     decoder's consumed offset is the replay offset just past the
+     packet that completed each. *)
+  let d = Pcap.Decoder.create ~obs ~salvage:true () in
+  let t = tail_create ~obs ~on_reset:(fun () -> Pcap.Decoder.reset_at d 0L) path in
   let queue = Queue.create () in
-  (* Records emit synchronously from [feed_packet], after the frame's
-     bytes were consumed, so [t.consumed] here is the offset just past
-     the packet that completed the record. *)
-  let cap = Nt_trace.Capture.create ~obs ~emit:(fun r -> Queue.push (r, t.consumed) queue) () in
-  let st = { header_seen = false; big_endian = false; nanosecond = false } in
-  let try_header () =
-    if String.length t.pending >= pcap_global_header then begin
-      let detect be =
-        let m = u32 ~be t.pending 0 in
-        if m = magic_us then Some (be, false)
-        else if m = magic_ns then Some (be, true)
-        else None
-      in
-      (match detect true with
-      | Some (be, ns) ->
-          st.big_endian <- be;
-          st.nanosecond <- ns
-      | None -> (
-          match detect false with
-          | Some (be, ns) ->
-              st.big_endian <- be;
-              st.nanosecond <- ns
-          | None ->
-              (* Unrecognized magic: treat as microsecond little-endian
-                 and let per-record sanity checks resync. *)
-              Obs.inc t.cs.c_parse_errors));
-      st.header_seen <- true;
-      tail_consume t pcap_global_header
-    end
+  let cap =
+    Nt_trace.Capture.create ~obs ~emit:(fun r -> Queue.push (r, Pcap.Decoder.consumed d) queue) ()
   in
-  let parse_records () =
-    let continue = ref true in
-    while !continue do
-      if String.length t.pending < pcap_record_header then continue := false
-      else begin
-        let be = st.big_endian in
-        let ts_sec = u32 ~be t.pending 0 in
-        let ts_frac = u32 ~be t.pending 4 in
-        let incl_len = u32 ~be t.pending 8 in
-        if incl_len > max_frame then begin
-          (* Corrupt length: slide one byte and retry — the salvage
-             strategy of the batch reader, minus its double
-             validation, kept cheap for the hot tail path. *)
-          Obs.inc t.cs.c_parse_errors;
-          tail_consume t 1
-        end
-        else if String.length t.pending < pcap_record_header + incl_len then
-          continue := false
-        else begin
-          let frame = String.sub t.pending pcap_record_header incl_len in
-          let time =
-            Float.of_int ts_sec
-            +. (Float.of_int ts_frac /. if st.nanosecond then 1e9 else 1e6)
-          in
-          tail_consume t (pcap_record_header + incl_len);
-          Nt_trace.Capture.feed_packet cap ~time frame
-        end
-      end
-    done
+  let rec drain () =
+    match Pcap.Decoder.next d with
+    | Pcap.Decoder.Packet p ->
+        Nt_trace.Capture.feed_packet cap ~time:p.time p.data;
+        drain ()
+    | Pcap.Decoder.Await | Pcap.Decoder.End | Pcap.Decoder.Bad _ -> ()
+  in
+  let feed chunk =
+    Pcap.Decoder.feed d chunk;
+    drain ()
   in
   let rec pull_fn () =
     match Queue.take_opt queue with
@@ -286,42 +250,19 @@ let pcap_tail ?obs path =
         t.delivered <- off;
         `Record r
     | None ->
-    if tail_fill t then begin
-      if not st.header_seen then try_header ();
-      if st.header_seen then parse_records ();
-      if Queue.is_empty queue then `Idle else pull_fn ()
-    end
-    else `Idle
+        (* after a seek: the file header at 0, then the saved offset *)
+        let want = Pcap.Decoder.input_offset d in
+        if not (Int64.equal want t.read_off) then tail_jump t want;
+        if tail_decode t ~feed ~damage:(fun () -> Pcap.Decoder.damage d) then pull_fn ()
+        else `Idle
   in
   of_fn ~describe:("pcap:" ^ path)
-    ~pos:(fun () -> if st.header_seen then Some t.delivered else None)
+    ~pos:(fun () -> Some t.delivered)
     ~seek:(fun off ->
-      (* Resuming mid-capture: the global header was consumed before the
-         checkpoint, so mark it seen but re-learn byte order from the
-         file's first bytes when available. *)
       Queue.clear queue;
-      let ok = tail_seek t off in
-      if off = 0L then st.header_seen <- false
-      else (match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-         | fd ->
-             let hdr = Bytes.create pcap_global_header in
-             let n = try Unix.read fd hdr 0 pcap_global_header with Unix.Unix_error _ -> 0 in
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             if n = pcap_global_header then begin
-               let s = Bytes.to_string hdr in
-               let m_be = u32 ~be:true s 0 and m_le = u32 ~be:false s 0 in
-               if m_be = magic_us || m_be = magic_ns then begin
-                 st.big_endian <- true;
-                 st.nanosecond <- m_be = magic_ns
-               end
-               else if m_le = magic_us || m_le = magic_ns then begin
-                 st.big_endian <- false;
-                 st.nanosecond <- m_le = magic_ns
-               end
-             end;
-             st.header_seen <- true
-         | exception Unix.Unix_error _ -> st.header_seen <- true);
-      ok)
+      Pcap.Decoder.reset_at d off;
+      tail_seek t off;
+      true)
     ~close:(fun () ->
       ignore (Nt_trace.Capture.finish cap);
       tail_close t)
@@ -331,41 +272,25 @@ let pcap_tail ?obs path =
 
 let tbin_tail ?obs path =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  let t = tail_create ~obs path in
-  (* The frame decoder owns resync and failure counting; its failure
-     total is mirrored onto mon.feed.parse_errors so feed dashboards
-     need not know the source format. Replay offsets come from the
-     decoder: frame end for the last record of a frame, frame start
-     before that — at-least-once at frame granularity. *)
+  (* The frame decoder owns resync and failure counting. Replay
+     offsets come from the decoder: frame end for the last record of a
+     frame, frame start before that — at-least-once at frame
+     granularity. *)
   let d = Nt_tbin.Decoder.create ~obs () in
-  let failures_seen = ref 0 in
-  let mirror_failures () =
-    let f = Nt_tbin.failures (Nt_tbin.Decoder.stats d) in
-    if f > !failures_seen then begin
-      Obs.add t.cs.c_parse_errors (f - !failures_seen);
-      failures_seen := f
-    end
-  in
+  let t = tail_create ~obs ~on_reset:(fun () -> Nt_tbin.Decoder.reset_at d 0L) path in
+  let damage () = Nt_tbin.failures (Nt_tbin.Decoder.stats d) in
   let rec pull_fn () =
     match Nt_tbin.Decoder.next d with
     | Some (r, off) ->
         t.delivered <- off;
         `Record r
-    | None ->
-        if tail_fill t then begin
-          let chunk = t.pending in
-          tail_consume t (String.length chunk);
-          Nt_tbin.Decoder.feed d chunk;
-          mirror_failures ();
-          pull_fn ()
-        end
-        else `Idle
+    | None -> if tail_decode t ~feed:(Nt_tbin.Decoder.feed d) ~damage then pull_fn () else `Idle
   in
   of_fn ~describe:("tbin:" ^ path)
     ~pos:(fun () -> Some t.delivered)
     ~seek:(fun off ->
-      let ok = tail_seek t off in
+      tail_seek t off;
       Nt_tbin.Decoder.reset_at d off;
-      ok)
+      true)
     ~close:(fun () -> tail_close t)
     pull_fn

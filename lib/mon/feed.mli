@@ -9,7 +9,8 @@
     (log rotation) and reopen from the start. Every anomaly lands in a
     counter on the feed's registry, never in an exception:
 
-    - [mon.feed.parse_errors] — malformed trace lines / pcap frames
+    - [mon.feed.parse_errors] — malformed trace lines, corrupt pcap
+      regions, failed tbin frames
     - [mon.feed.reopens] — truncation-triggered reopens
     - [mon.feed.open_failures] — the path could not be opened (yet)
 
@@ -55,10 +56,12 @@ val trace_tail : ?obs:Nt_obs.Obs.t -> string -> t
     caught mid-line never produces a parse error or a lost record. *)
 
 val pcap_tail : ?obs:Nt_obs.Obs.t -> string -> t
-(** Tail a pcap capture, decoding frames through the capture engine as
-    complete pcap records arrive (both endiannesses, micro- and
-    nanosecond variants). Frames held back mid-write are picked up on
-    the next pull. *)
+(** Tail a pcap capture through {!Nt_net.Pcap.Decoder} (always salvaging,
+    1 MiB record-length limit) and the capture engine. Each corrupt region
+    is one [mon.feed.parse_errors], its bytes land on
+    [capture.skipped_bytes]. A bad global header is one parse error and
+    nothing of that file is delivered until truncation or rotation.
+    {!seek} re-reads the header at offset 0, then resumes. *)
 
 val tbin_tail : ?obs:Nt_obs.Obs.t -> string -> t
 (** Tail an nttb/1 binary trace (see {!Nt_tbin}), decoding complete

@@ -5,59 +5,37 @@ exception Bad_format of string
 let magic_us = 0xA1B2C3D4
 let magic_ns = 0xA1B23C4D
 let linktype_ethernet = 1
+let global_header_len = 24
+let record_header_len = 16
 
 (* --- writing (little-endian, microsecond) --- *)
 
-type sink = To_buffer of Buffer.t | To_channel of out_channel
+type writer = { emit : string -> unit; snaplen : int }
 
-type writer = { sink : sink; snaplen : int }
+(* Little-endian u32 fields as a fresh string. *)
+let le32s fields =
+  let b = Bytes.create (4 * List.length fields) in
+  List.iteri (fun i v -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)) fields;
+  Bytes.unsafe_to_string b
 
-let put16le buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+let make_writer ?(snaplen = 65535) emit =
+  (* magic, version 2.4, thiszone, sigfigs, snaplen, linktype *)
+  emit (le32s [ magic_us; 0x0004_0002; 0; 0; snaplen; linktype_ethernet ]);
+  { emit; snaplen }
 
-let put32le buf v =
-  put16le buf (v land 0xFFFF);
-  put16le buf ((v lsr 16) land 0xFFFF)
-
-let global_header snaplen =
-  let buf = Buffer.create 24 in
-  put32le buf magic_us;
-  put16le buf 2;
-  put16le buf 4;
-  put32le buf 0 (* thiszone *);
-  put32le buf 0 (* sigfigs *);
-  put32le buf snaplen;
-  put32le buf linktype_ethernet;
-  Buffer.contents buf
-
-let emit w s =
-  match w.sink with To_buffer b -> Buffer.add_string b s | To_channel oc -> output_string oc s
-
-let make_writer ?(snaplen = 65535) sink =
-  let w = { sink; snaplen } in
-  emit w (global_header snaplen);
-  w
-
-let writer_to_buffer ?snaplen b = make_writer ?snaplen (To_buffer b)
-let writer_to_channel ?snaplen oc = make_writer ?snaplen (To_channel oc)
+let writer_to_buffer ?snaplen b = make_writer ?snaplen (Buffer.add_string b)
+let writer_to_channel ?snaplen oc = make_writer ?snaplen (output_string oc)
 
 let write w ~time data =
   let sec = int_of_float (Float.floor time) in
   let usec = int_of_float (Float.round ((time -. Float.of_int sec) *. 1e6)) in
   let sec, usec = if usec >= 1_000_000 then (sec + 1, usec - 1_000_000) else (sec, usec) in
-  let incl = min (String.length data) w.snaplen in
-  let buf = Buffer.create (16 + incl) in
-  put32le buf sec;
-  put32le buf usec;
-  put32le buf incl;
-  put32le buf (String.length data);
-  Buffer.add_substring buf data 0 incl;
-  emit w (Buffer.contents buf)
+  let len = String.length data in
+  let incl = min len w.snaplen in
+  w.emit (le32s [ sec; usec; incl; len ]);
+  w.emit (if incl = len then data else String.sub data 0 incl)
 
 (* --- reading --- *)
-
-type source = From_string of { data : string; mutable pos : int } | From_channel of in_channel
 
 type read_stats = {
   records : int;
@@ -67,248 +45,290 @@ type read_stats = {
   truncated_tail : bool;
 }
 
-(* Loss accounting lives on the obs registry (capture.* namespace);
-   [read_stats] reads the counters back so existing callers see the
-   same numbers a --metrics snapshot reports. *)
-type reader = {
-  source : source;
-  big_endian : bool;
-  nanosecond : bool;
-  salvage : bool;
-  mutable stash : string;  (* bytes read from the source but not yet consumed *)
-  c_records : Nt_obs.Obs.counter;
-  c_salvaged : Nt_obs.Obs.counter;
-  c_skipped : Nt_obs.Obs.counter;
-  c_resyncs : Nt_obs.Obs.counter;
-  c_truncated : Nt_obs.Obs.counter;
-  mutable truncated_tail : bool;
-  mutable last_sec : int;  (* timestamp of the last good record, for resync *)
-}
-
-(* Read up to [n] bytes, consuming the stash first; shorter only at EOF. *)
-let read_upto r n =
-  let from_stash = min n (String.length r.stash) in
-  let head = String.sub r.stash 0 from_stash in
-  r.stash <- String.sub r.stash from_stash (String.length r.stash - from_stash);
-  let want = n - from_stash in
-  if want = 0 then head
-  else
-    match r.source with
-    | From_string s ->
-        let got = min want (String.length s.data - s.pos) in
-        let tail = String.sub s.data s.pos got in
-        s.pos <- s.pos + got;
-        head ^ tail
-    | From_channel ic ->
-        let b = Bytes.create want in
-        let rec fill off =
-          if off >= want then want
-          else
-            let got = input ic b off (want - off) in
-            if got = 0 then off else fill (off + got)
-        in
-        let got = fill 0 in
-        head ^ Bytes.sub_string b 0 got
-
-let u32 ~be s pos =
-  let b i = Char.code s.[pos + i] in
-  if be then (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-  else (b 3 lsl 24) lor (b 2 lsl 16) lor (b 1 lsl 8) lor b 0
-
-let read_exact source n =
-  match source with
-  | From_string s ->
-      if String.length s.data - s.pos < n then None
-      else begin
-        let r = String.sub s.data s.pos n in
-        s.pos <- s.pos + n;
-        Some r
-      end
-  | From_channel ic -> (
-      let b = Bytes.create n in
-      try
-        really_input ic b 0 n;
-        Some (Bytes.to_string b)
-      with End_of_file -> None)
-
-let make_reader ?obs ~salvage source =
-  let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
-  match read_exact source 24 with
-  | None -> raise (Bad_format "missing global header")
-  | Some hdr ->
-      let try_magic be =
-        let m = u32 ~be hdr 0 in
-        if m = magic_us then Some (be, false)
-        else if m = magic_ns then Some (be, true)
-        else None
-      in
-      let big_endian, nanosecond =
-        match try_magic true with
-        | Some r -> r
-        | None -> (
-            match try_magic false with
-            | Some r -> r
-            | None -> raise (Bad_format "bad magic number"))
-      in
-      let linktype = u32 ~be:big_endian hdr 20 in
-      if linktype <> linktype_ethernet then
-        raise (Bad_format (Printf.sprintf "unsupported linktype %d" linktype));
-      {
-        source;
-        big_endian;
-        nanosecond;
-        salvage;
-        stash = "";
-        c_records =
-          Nt_obs.Obs.counter obs ~help:"pcap records successfully decoded" "capture.pcap_records";
-        c_salvaged =
-          Nt_obs.Obs.counter obs ~help:"pcap records recovered after resync"
-            "capture.salvaged_records";
-        c_skipped =
-          Nt_obs.Obs.counter obs ~help:"bytes discarded while resyncing or at a cut-off tail"
-            "capture.skipped_bytes";
-        c_resyncs =
-          Nt_obs.Obs.counter obs ~help:"times the salvage scanner re-acquired a record boundary"
-            "capture.resyncs";
-        c_truncated =
-          Nt_obs.Obs.counter obs ~help:"captures that ended mid-record" "capture.truncated_tails";
-        truncated_tail = false;
-        last_sec = 0;
-      }
-
-let reader_of_string ?obs ?(salvage = false) s =
-  make_reader ?obs ~salvage (From_string { data = s; pos = 0 })
-
-let reader_of_channel ?obs ?(salvage = false) ic = make_reader ?obs ~salvage (From_channel ic)
-
-let read_stats r =
-  {
-    records = Nt_obs.Obs.value r.c_records;
-    salvaged = Nt_obs.Obs.value r.c_salvaged;
-    skipped_bytes = Nt_obs.Obs.value r.c_skipped;
-    resyncs = Nt_obs.Obs.value r.c_resyncs;
-    truncated_tail = r.truncated_tail;
-  }
-
-let mark_truncated r =
-  if not r.truncated_tail then begin
-    r.truncated_tail <- true;
-    Nt_obs.Obs.inc r.c_truncated
-  end
-
 (* A header is plausible when its lengths are frame-sized and its
    fractional timestamp is in range — the resync test applied to each
    byte offset while salvaging past a corrupt record. *)
 let max_salvage_record = 0x100000
 
-let plausible r ~sec ~frac ~incl ~orig_len =
-  (* A captured frame is never empty: incl = 0 would make runs of zero
-     bytes (common inside NFS payloads) look like valid records. 14 is
-     the bare Ethernet header. *)
-  incl >= 14
-  && incl <= max_salvage_record && orig_len >= incl
-  && orig_len <= max_salvage_record
-  && frac < (if r.nanosecond then 1_000_000_000 else 1_000_000)
-  && (r.last_sec = 0 || abs (sec - r.last_sec) <= 30 * 86400)
+module Decoder = struct
+  type step = Packet of packet | Await | End | Bad of string
 
-let parse_header r hdr =
-  let be = r.big_endian in
-  (u32 ~be hdr 0, u32 ~be hdr 4, u32 ~be hdr 8, u32 ~be hdr 12)
+  type phase =
+    | Global_header  (* expecting the file header at [pos] *)
+    | Records  (* [pos] is a record boundary *)
+    | Scanning  (* salvaging: [pos] holds a rejected 16-byte header *)
+    | Candidate  (* salvaging: [pos] holds a plausible header awaiting validation *)
+    | Refused of string  (* the file header was bad: nothing until a reset *)
 
-(* Slide a 16-byte window one byte forward looking for the next
-   plausible record header; everything skipped is counted. *)
-let resync r hdr =
-  let window = ref hdr in
-  let result = ref None in
-  let continue = ref true in
-  while !continue do
-    let next = read_upto r 1 in
-    if String.length next = 0 then begin
-      (* EOF inside the corrupt region: the tail is unrecoverable. *)
-      Nt_obs.Obs.add r.c_skipped (String.length !window);
-      mark_truncated r;
-      continue := false
+  (* One byte window: [buf.[pos..lim)] is fed but unconsumed, [buf.[0]]
+     sits at stream offset [base]. Loss counts live on the obs registry. *)
+  type t = {
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    mutable lim : int;
+    mutable base : int;
+    mutable eof : bool;
+    mutable phase : phase;
+    mutable resume : int;  (* stream offset where records resume after the file header *)
+    mutable big_endian : bool;
+    mutable nanosecond : bool;
+    mutable last_sec : int;  (* timestamp of the last good record, for resync *)
+    mutable damage : int;
+    mutable truncated_tail : bool;
+    salvage : bool;
+    c_records : Nt_obs.Obs.counter;
+    c_salvaged : Nt_obs.Obs.counter;
+    c_skipped : Nt_obs.Obs.counter;
+    c_resyncs : Nt_obs.Obs.counter;
+    c_truncated : Nt_obs.Obs.counter;
+  }
+
+  let create ?obs ?(salvage = false) () =
+    let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
+    let counter help name = Nt_obs.Obs.counter obs ~help name in
+    {
+      buf = Bytes.create 65536;
+      pos = 0;
+      lim = 0;
+      base = 0;
+      eof = false;
+      phase = Global_header;
+      resume = 0;
+      big_endian = false;
+      nanosecond = false;
+      last_sec = 0;
+      damage = 0;
+      truncated_tail = false;
+      salvage;
+      c_records = counter "pcap records successfully decoded" "capture.pcap_records";
+      c_salvaged = counter "pcap records recovered after resync" "capture.salvaged_records";
+      c_skipped =
+        counter "bytes discarded while resyncing or at a cut-off tail" "capture.skipped_bytes";
+      c_resyncs =
+        counter "times the salvage scanner re-acquired a record boundary" "capture.resyncs";
+      c_truncated = counter "captures that ended mid-record" "capture.truncated_tails";
+    }
+
+  (* Make room for [n] more bytes past [lim]: slide the unconsumed
+     bytes to the front, growing the window when they would not fit. *)
+  let reserve d n =
+    let cap = Bytes.length d.buf in
+    if d.lim + n > cap then begin
+      let live = d.lim - d.pos in
+      let buf = if live + n > cap then Bytes.create (max (2 * cap) (live + n)) else d.buf in
+      Bytes.blit d.buf d.pos buf 0 live;
+      d.buf <- buf;
+      d.base <- d.base + d.pos;
+      d.pos <- 0;
+      d.lim <- live
     end
+
+  let feed d s =
+    let n = String.length s in
+    reserve d n;
+    Bytes.blit_string s 0 d.buf d.lim n;
+    d.lim <- d.lim + n
+
+  let fill d input =
+    reserve d 65536;
+    match input d.buf d.lim (Bytes.length d.buf - d.lim) with
+    | 0 -> d.eof <- true
+    | n -> d.lim <- d.lim + n
+
+  let finish d = d.eof <- true
+
+  let reset_at d off =
+    d.pos <- 0;
+    d.lim <- 0;
+    d.base <- 0;
+    d.eof <- false;
+    d.phase <- Global_header;
+    d.resume <- Int64.to_int off;
+    d.last_sec <- 0
+
+  let consumed d = Int64.of_int (d.base + d.pos)
+  let input_offset d = Int64.of_int (d.base + d.lim)
+  let damage d = d.damage
+
+  let stats d =
+    {
+      records = Nt_obs.Obs.value d.c_records;
+      salvaged = Nt_obs.Obs.value d.c_salvaged;
+      skipped_bytes = Nt_obs.Obs.value d.c_skipped;
+      resyncs = Nt_obs.Obs.value d.c_resyncs;
+      truncated_tail = d.truncated_tail;
+    }
+
+  let u32 d off =
+    let v = if d.big_endian then Bytes.get_int32_be d.buf off else Bytes.get_int32_le d.buf off in
+    Int32.to_int v land 0xFFFF_FFFF
+
+  let plausible d p =
+    let incl = u32 d (p + 8) and orig_len = u32 d (p + 12) in
+    (* A captured frame is never empty: incl = 0 would make runs of zero
+       bytes (common inside NFS payloads) look like valid records. 14 is
+       the bare Ethernet header. *)
+    incl >= 14
+    && incl <= max_salvage_record && orig_len >= incl
+    && orig_len <= max_salvage_record
+    && u32 d (p + 4) < (if d.nanosecond then 1_000_000_000 else 1_000_000)
+    && (d.last_sec = 0 || abs (u32 d p - d.last_sec) <= 30 * 86400)
+
+  let refuse d msg =
+    d.damage <- d.damage + 1;
+    d.phase <- Refused msg;
+    Bad msg
+
+  (* The input ended inside a record or a corrupt region: everything
+     left is skipped and the capture is flagged as cut off. *)
+  let cut_tail d =
+    Nt_obs.Obs.add d.c_skipped (d.lim - d.pos);
+    d.pos <- d.lim;
+    if not d.truncated_tail then begin
+      d.truncated_tail <- true;
+      Nt_obs.Obs.inc d.c_truncated
+    end;
+    End
+
+  (* Learn byte order and tick unit; [None] once the header is in.
+     After [reset_at d off] the window then jumps to [off]. *)
+  let global_header d =
+    if d.lim - d.pos < global_header_len then
+      if d.eof then Some (refuse d "missing global header") else Some Await
     else begin
-      Nt_obs.Obs.inc r.c_skipped;
-      window := String.sub !window 1 15 ^ next;
-      let sec, frac, incl, orig_len = parse_header r !window in
-      if plausible r ~sec ~frac ~incl ~orig_len then begin
-        Nt_obs.Obs.inc r.c_resyncs;
-        result := Some !window;
-        continue := false
-      end
-    end
-  done;
-  !result
-
-let accept r ~salvaged ~sec ~frac ~orig_len data =
-  Nt_obs.Obs.inc r.c_records;
-  if salvaged then Nt_obs.Obs.inc r.c_salvaged;
-  r.last_sec <- sec;
-  let scale = if r.nanosecond then 1e-9 else 1e-6 in
-  Some { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len; data }
-
-(* Keep resyncing until a plausible header is followed by a full
-   payload that ends at a record boundary — EOF or another plausible
-   header. The double-validation rejects false positives that a single
-   header test lets through (byte patterns inside packet payloads can
-   parse as headers with large lengths and would swallow real records).
-   Rejected candidates go back into the stash and the scan continues. *)
-let rec salvage_from r hdr =
-  match resync r hdr with
-  | None -> None
-  | Some h ->
-      let sec, frac, incl, orig_len = parse_header r h in
-      let data = read_upto r incl in
-      if String.length data < incl then begin
-        r.stash <- data ^ r.stash;
-        salvage_from r h
-      end
+      let magic big_endian =
+        d.big_endian <- big_endian;
+        u32 d d.pos
+      in
+      let known m = m = magic_us || m = magic_ns in
+      let m = magic true in
+      let m = if known m then m else magic false in
+      let linktype = u32 d (d.pos + 20) in
+      if not (known m) then Some (refuse d "bad magic number")
+      else if linktype <> linktype_ethernet then
+        Some (refuse d (Printf.sprintf "unsupported linktype %d" linktype))
       else begin
-        let peek = read_upto r 16 in
-        r.stash <- peek ^ r.stash;
-        let boundary_ok =
-          String.length peek < 16
-          ||
-          let s2, f2, i2, o2 = parse_header r peek in
-          plausible r ~sec:s2 ~frac:f2 ~incl:i2 ~orig_len:o2
-        in
-        if boundary_ok then accept r ~salvaged:true ~sec ~frac ~orig_len data
-        else begin
-          r.stash <- data ^ r.stash;
-          salvage_from r h
-        end
-      end
-
-let read_next r =
-  let hdr = read_upto r 16 in
-  if String.length hdr = 0 then None
-  else if String.length hdr < 16 then begin
-    (* EOF mid-header: a capture cut off while writing a record. *)
-    Nt_obs.Obs.add r.c_skipped (String.length hdr);
-    mark_truncated r;
-    None
-  end
-  else begin
-    let sec, frac, incl, orig_len = parse_header r hdr in
-    if incl <= 0x4000000 && (not r.salvage || plausible r ~sec ~frac ~incl ~orig_len) then begin
-      let data = read_upto r incl in
-      if String.length data < incl then begin
-        (* EOF mid-packet: truncated final record. *)
-        Nt_obs.Obs.add r.c_skipped (16 + String.length data);
-        mark_truncated r;
+        d.nanosecond <- m = magic_ns;
+        d.phase <- Records;
+        d.pos <- d.pos + global_header_len;
+        if d.resume > d.base + d.pos then begin
+          d.base <- d.resume;
+          d.pos <- 0;
+          d.lim <- 0
+        end;
         None
       end
-      else accept r ~salvaged:false ~sec ~frac ~orig_len data
     end
-    else if not r.salvage then raise (Bad_format "absurd packet length")
-    else salvage_from r hdr
-  end
 
-let fold r f init =
-  let rec go acc = match read_next r with None -> acc | Some p -> go (f acc p) in
-  go init
+  let accept d ~salvaged =
+    let p = d.pos in
+    let sec = u32 d p and frac = u32 d (p + 4) and incl = u32 d (p + 8) in
+    let data = Bytes.sub_string d.buf (p + record_header_len) incl in
+    d.pos <- p + record_header_len + incl;
+    d.phase <- Records;
+    d.last_sec <- sec;
+    Nt_obs.Obs.inc d.c_records;
+    if salvaged then Nt_obs.Obs.inc d.c_salvaged;
+    let scale = if d.nanosecond then 1e-9 else 1e-6 in
+    Packet
+      { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len = u32 d (p + 12); data }
+
+  (* Slide the 16-byte window one byte at a time looking for the next
+     plausible record header; every byte slid past is counted. *)
+  let rec scan d =
+    if d.lim - d.pos <= record_header_len then if d.eof then cut_tail d else Await
+    else begin
+      d.pos <- d.pos + 1;
+      Nt_obs.Obs.inc d.c_skipped;
+      if plausible d d.pos then begin
+        Nt_obs.Obs.inc d.c_resyncs;
+        d.phase <- Candidate;
+        candidate d
+      end
+      else scan d
+    end
+
+  (* A plausible header is taken only when a full payload follows and
+     ends at a record boundary — the end of input or another plausible
+     header. The double validation rejects false positives that a
+     single header test lets through (byte patterns inside packet
+     payloads can parse as headers with large lengths and would swallow
+     real records); a rejected candidate resumes the scan one byte on. *)
+  and candidate d =
+    let next = d.pos + record_header_len + u32 d (d.pos + 8) in
+    let room = d.lim - next in
+    if room < record_header_len && not d.eof then Await
+    else if room >= 0 && (room < record_header_len || plausible d next) then
+      accept d ~salvaged:true
+    else rescan d
+
+  and rescan d =
+    d.phase <- Scanning;
+    scan d
+
+  let record d =
+    let avail = d.lim - d.pos in
+    if avail < record_header_len then
+      if not d.eof then Await else if avail > 0 then cut_tail d else End
+    else
+      let incl = u32 d (d.pos + 8) in
+      (* without salvage only a length past 64 MiB is absurd *)
+      if incl <= 0x4000000 && ((not d.salvage) || plausible d d.pos) then
+        if avail < record_header_len + incl then if d.eof then cut_tail d else Await
+        else accept d ~salvaged:false
+      else if not d.salvage then Bad "absurd packet length"
+      else begin
+        d.damage <- d.damage + 1;
+        rescan d
+      end
+
+  let rec next d =
+    match d.phase with
+    | Records -> record d
+    | Scanning -> scan d
+    | Candidate -> candidate d
+    | Refused msg ->
+        (* nothing of a refused file is decodable: keep the window empty *)
+        d.pos <- d.lim;
+        Bad msg
+    | Global_header -> ( match global_header d with Some step -> step | None -> next d)
+end
+
+(* A reader drives the decoder to the end of one input, refilling from
+   [input] whenever it awaits bytes. *)
+type reader = { dec : Decoder.t; input : Bytes.t -> int -> int -> int }
+
+let rec start r =
+  match Decoder.global_header r.dec with
+  | None -> r
+  | Some (Decoder.Bad msg) -> raise (Bad_format msg)
+  | Some _ ->
+      Decoder.fill r.dec r.input;
+      start r
+
+let reader_of_string ?obs ?salvage s =
+  let off = ref 0 in
+  let input b pos len =
+    let n = min len (String.length s - !off) in
+    Bytes.blit_string s !off b pos n;
+    off := !off + n;
+    n
+  in
+  start { dec = Decoder.create ?obs ?salvage (); input }
+
+let reader_of_channel ?obs ?salvage ic =
+  start { dec = Decoder.create ?obs ?salvage (); input = input ic }
+
+let read_stats r = Decoder.stats r.dec
+
+let rec read_next r =
+  match Decoder.next r.dec with
+  | Decoder.Packet p -> Some p
+  | Decoder.End -> None
+  | Decoder.Bad msg -> raise (Bad_format msg)
+  | Decoder.Await ->
+      Decoder.fill r.dec r.input;
+      read_next r
 
 let packets r =
   let rec next () = match read_next r with None -> Seq.Nil | Some p -> Seq.Cons (p, next) in

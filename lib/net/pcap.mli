@@ -7,7 +7,12 @@
 
     Both byte orders and both microsecond and nanosecond timestamp
     magics are accepted on read; writes are microsecond little-endian,
-    linktype EN10MB. *)
+    linktype EN10MB.
+
+    The format is parsed only by {!Decoder}. The readers below drive it
+    to the end of a string or channel; nfsmon's pcap tail feeds it bytes
+    as the capture grows, always salvaging, since a live feed must never
+    raise. *)
 
 type packet = { time : float; orig_len : int; data : string }
 (** [data] may be shorter than [orig_len] when the capture snapped. *)
@@ -21,8 +26,6 @@ val writer_to_channel : ?snaplen:int -> out_channel -> writer
 val write : writer -> time:float -> string -> unit
 (** Appends one packet record, truncating to the snaplen. *)
 
-type reader
-
 type read_stats = {
   records : int;  (** records successfully decoded *)
   salvaged : int;  (** records recovered after resyncing past corruption *)
@@ -31,18 +34,56 @@ type read_stats = {
   truncated_tail : bool;  (** the capture ended mid-record *)
 }
 
+module Decoder : sig
+  (** Feed byte chunks of any size, pull packets. Bytes land in one
+      window, compacted or grown as it refills, so a packet's [data] is
+      the only allocation per record. Only after {!finish} does a
+      record cut by the end of input count as a truncated tail. With
+      salvage, a corrupt record header is scanned past one byte at a
+      time to the next plausible header (lengths within 1 MiB) whose
+      payload ends at another one or at the end of input. *)
+
+  type t
+
+  type step =
+    | Packet of packet
+    | Await  (** more bytes are needed *)
+    | End  (** end of input, after {!finish} *)
+    | Bad of string  (** bad global header (sticky), or corrupt record without salvage *)
+
+  val create : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> unit -> t
+  (** [salvage] defaults to false. [obs] (default: a private registry)
+      hosts the [capture.*] loss counters that {!stats} reads back. *)
+
+  val feed : t -> string -> unit
+  val finish : t -> unit
+  val next : t -> step
+
+  val reset_at : t -> int64 -> unit
+  (** Expect a global header again (feed the file from 0), then jump
+      {!input_offset} to stream offset [off]. Counters accumulate. *)
+
+  val consumed : t -> int64
+  (** Stream offset past the last [Packet]'s record. *)
+
+  val input_offset : t -> int64
+  (** Stream offset the next fed byte is taken to sit at. *)
+
+  val damage : t -> int
+  (** Corrupt regions entered plus refused global headers. *)
+
+  val stats : t -> read_stats
+end
+
+type reader
+
 val reader_of_string : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> string -> reader
 val reader_of_channel : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> in_channel -> reader
-(** [salvage] (default false): instead of raising {!Bad_format} on a
-    corrupt record header, scan forward byte-by-byte for the next
-    plausible header, counting skipped bytes — a months-long capture
-    with a few mangled records is still mostly analyzable (§4.1.4).
-
-    [obs] hosts the loss-accounting counters ([capture.pcap_records],
-    [capture.salvaged_records], [capture.skipped_bytes],
-    [capture.resyncs], [capture.truncated_tails]); defaults to a
-    private always-enabled registry so {!read_stats} works without
-    wiring. *)
+(** Both read the global header first, raising {!Bad_format} when it is
+    missing or bad. [salvage] and [obs] are as for {!Decoder.create}:
+    salvage resyncs past corrupt record headers instead of raising, so
+    a months-long capture with a few mangled records is still mostly
+    analyzable (§4.1.4). *)
 
 val read_next : reader -> packet option
 (** [None] at end of file. A final record cut off by EOF also yields
@@ -53,6 +94,5 @@ val read_next : reader -> packet option
 val read_stats : reader -> read_stats
 (** Loss accounting for everything read so far. *)
 
-val fold : reader -> ('a -> packet -> 'a) -> 'a -> 'a
 val packets : reader -> packet Seq.t
 (** Lazily read remaining packets. The sequence must be consumed once. *)

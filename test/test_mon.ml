@@ -31,6 +31,8 @@ module Types = Nt_nfs.Types
 module Fh = Nt_nfs.Fh
 module Ip = Nt_net.Ip_addr
 module Obs = Nt_obs.Obs
+module Pcap = Nt_net.Pcap
+module Capture = Nt_trace.Capture
 
 (* --- record generators --- *)
 
@@ -460,6 +462,221 @@ let test_feed_seek_replays_suffix () =
       | _ -> Alcotest.fail "empty suffix");
       Feed.close f2)
 
+(* --- pcap tail --- *)
+
+let sim_pcap system ~seconds =
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:10 ~minute:0 in
+  let stop = start +. seconds in
+  let buf = Buffer.create (1 lsl 20) in
+  let writer = Pcap.writer_to_buffer buf in
+  (match system with
+  | `Campus ->
+      let config = { Nt_workload.Email.default_config with users = 2 } in
+      ignore (Nt_core.Pipeline.campus_to_pcap ~config ~start ~stop ~writer ())
+  | `Eecs ->
+      let config = { Nt_workload.Research.default_config with users = 3 } in
+      ignore (Nt_core.Pipeline.eecs_to_pcap ~config ~start ~stop ~writer ()));
+  Buffer.contents buf
+
+let campus_pcap = lazy (sim_pcap `Campus ~seconds:60.)
+let eecs_pcap = lazy (sim_pcap `Eecs ~seconds:600.)
+
+(* The batch oracle: what one capture engine emits while [feed_pcap]
+   reads each capture in turn. A tail never reaches end of input, so
+   [finish]'s flush of unanswered calls is left out. *)
+let batch_lines ?(salvage = false) pcaps =
+  let out = ref [] in
+  let cap = Capture.create ~emit:(fun r -> out := Record.to_line r :: !out) () in
+  List.iter (fun s -> Capture.feed_pcap cap (Pcap.reader_of_string ~salvage s)) pcaps;
+  List.rev !out
+
+let drain_lines f =
+  let rec go acc =
+    match Feed.pull f with
+    | `Record r -> go (Record.to_line r :: acc)
+    | `Idle | `Closed -> List.rev acc
+  in
+  go []
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+let parse_errors obs = Obs.sum_counter (Obs.snapshot obs) "mon.feed.parse_errors"
+let cksl = Alcotest.(check (list string))
+
+(* Append [pcap] to the tailed file in pieces — one byte at a time
+   through the global header and the first records, then 777 bytes at
+   a time — pulling everything available after each piece. *)
+let tail_in_pieces pcap =
+  with_tmp "ntmon_pcap_pieces.pcap" (fun path ->
+      let obs = Obs.create () in
+      let f = Feed.pcap_tail ~obs path in
+      let got = ref [] in
+      Out_channel.with_open_bin path (fun oc ->
+          let n = String.length pcap in
+          let off = ref 0 in
+          while !off < n do
+            let len = min (if !off < 3000 then 1 else 777) (n - !off) in
+            output_substring oc pcap !off len;
+            flush oc;
+            off := !off + len;
+            got := List.rev_append (drain_lines f) !got
+          done);
+      Feed.close f;
+      (List.rev !got, parse_errors obs))
+
+let test_pcap_tail_grows_in_pieces () =
+  List.iter
+    (fun (name, pcap) ->
+      let got, errors = tail_in_pieces (Lazy.force pcap) in
+      cksl (name ^ ": records as the batch reader") (batch_lines [ Lazy.force pcap ]) got;
+      cki (name ^ ": no parse errors") 0 errors)
+    [ ("campus", campus_pcap); ("eecs", eecs_pcap) ]
+
+(* Rewrite a little-endian microsecond capture as big-endian nanosecond. *)
+let to_big_endian_ns pcap =
+  let b = Buffer.create (String.length pcap) in
+  let u32 off = Int32.to_int (String.get_int32_le pcap off) land 0xFFFF_FFFF in
+  let be32 v = Buffer.add_int32_be b (Int32.of_int v) in
+  be32 0xA1B23C4D;
+  Buffer.add_uint16_be b 2;
+  Buffer.add_uint16_be b 4;
+  List.iter (fun off -> be32 (u32 off)) [ 8; 12; 16; 20 ];
+  let off = ref 24 in
+  while !off + 16 <= String.length pcap do
+    let incl = u32 (!off + 8) in
+    be32 (u32 !off);
+    be32 (u32 (!off + 4) * 1000);
+    be32 incl;
+    be32 (u32 (!off + 12));
+    Buffer.add_substring b pcap (!off + 16) incl;
+    off := !off + 16 + incl
+  done;
+  Buffer.contents b
+
+let test_pcap_tail_big_endian_ns () =
+  let le = Lazy.force eecs_pcap in
+  let be = to_big_endian_ns le in
+  let got, errors = tail_in_pieces be in
+  cksl "records as the batch reader" (batch_lines [ be ]) got;
+  cki "as many records as the little-endian capture" (List.length (batch_lines [ le ]))
+    (List.length got);
+  cki "no parse errors" 0 errors
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
+
+let test_pcap_tail_seek_resumes () =
+  let pcap = Lazy.force eecs_pcap in
+  let batch = batch_lines [ pcap ] in
+  with_tmp "ntmon_pcap_seek.pcap" (fun path ->
+      write_file path pcap;
+      (* one offset inside the first 64 KiB read, one beyond it *)
+      List.iter
+        (fun min_pos ->
+          let f = Feed.pcap_tail path in
+          let rec pull_past k =
+            match (Feed.pull f, Feed.pos f) with
+            | `Record _, Some p when Int64.to_int p > min_pos -> (k + 1, Int64.to_int p)
+            | `Record _, _ -> pull_past (k + 1)
+            | _ -> Alcotest.fail "capture too short"
+          in
+          let k, pos = pull_past 0 in
+          Feed.close f;
+          let f2 = Feed.pcap_tail path in
+          ckb "seek ok" true (Feed.seek f2 (Int64.of_int pos));
+          let rest = drain_lines f2 in
+          Feed.close f2;
+          (* a fresh engine over the bytes from [pos] on is exactly what
+             the resumed tail sees *)
+          let suffix = String.sub pcap 0 24 ^ String.sub pcap pos (String.length pcap - pos) in
+          cksl "replays the suffix" (batch_lines [ suffix ]) rest;
+          ckb "something replayed" true (rest <> []);
+          let after = drop k batch in
+          ckb "only records completed after pos" true
+            (List.for_all (fun l -> List.mem l after) rest))
+        [ 1000; 100_000 ])
+
+(* Smash the incl-length field of the record headers at indices [at]. *)
+let smash_records pcap at =
+  let b = Bytes.of_string pcap in
+  let lens = ref [] in
+  let off = ref 24 and i = ref 0 in
+  while !off + 16 <= Bytes.length b do
+    let incl = Int32.to_int (Bytes.get_int32_le b (!off + 8)) in
+    if List.mem !i at then begin
+      Bytes.set_int32_le b (!off + 8) 0x7FFFFFFFl;
+      lens := (16 + incl) :: !lens
+    end;
+    off := !off + 16 + incl;
+    incr i
+  done;
+  (Bytes.to_string b, List.fold_left ( + ) 0 !lens)
+
+let test_pcap_tail_counts_corrupt_region_once () =
+  let pcap, smashed = smash_records (Lazy.force eecs_pcap) [ 10; 200 ] in
+  with_tmp "ntmon_pcap_corrupt.pcap" (fun path ->
+      write_file path pcap;
+      let obs = Obs.create () in
+      let f = Feed.pcap_tail ~obs path in
+      let got = drain_lines f in
+      Feed.close f;
+      cksl "records as the salvaging batch reader" (batch_lines ~salvage:true [ pcap ]) got;
+      cki "one parse error per corrupt region" 2 (parse_errors obs);
+      cki "the smashed records' bytes skipped" smashed
+        (Obs.sum_counter (Obs.snapshot obs) "capture.skipped_bytes"))
+
+let test_pcap_tail_rotation_rereads_header () =
+  let campus = Lazy.force campus_pcap and eecs = Lazy.force eecs_pcap in
+  with_tmp "ntmon_pcap_rotate.pcap" (fun path ->
+      write_file path campus;
+      let obs = Obs.create () in
+      let f = Feed.pcap_tail ~obs path in
+      let first = drain_lines f in
+      cksl "first capture" (batch_lines [ campus ]) first;
+      write_file path "";
+      ckb "idle at rotation" true (Feed.pull f = `Idle);
+      write_file path eecs;
+      let second = drain_lines f in
+      Feed.close f;
+      cksl "second capture read from its own header"
+        (drop (List.length first) (batch_lines [ campus; eecs ]))
+        second;
+      cki "reopen counted" 1 (Obs.sum_counter (Obs.snapshot obs) "mon.feed.reopens");
+      cki "no parse errors" 0 (parse_errors obs))
+
+let test_pcap_tail_refuses_bad_global_header () =
+  let eecs = Lazy.force eecs_pcap in
+  let bad = String.make 4 'z' ^ String.sub eecs 4 (String.length eecs - 4) in
+  with_tmp "ntmon_pcap_badhdr.pcap" (fun path ->
+      write_file path bad;
+      let obs = Obs.create () in
+      let f = Feed.pcap_tail ~obs path in
+      cksl "nothing delivered" [] (drain_lines f);
+      cki "one parse error" 1 (parse_errors obs);
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          output_string oc eecs);
+      cksl "still nothing after growth" [] (drain_lines f);
+      cki "still one parse error" 1 (parse_errors obs);
+      write_file path "";
+      ckb "idle at rotation" true (Feed.pull f = `Idle);
+      write_file path eecs;
+      cksl "a rotated good capture is read" (batch_lines [ eecs ]) (drain_lines f);
+      Feed.close f;
+      cki "no further parse errors" 1 (parse_errors obs))
+
+let test_tbin_tail_rotation_rereads_magic () =
+  let a = gen_records ~seed:21 40 and b = gen_records ~seed:22 30 in
+  let lines = List.map Record.to_line in
+  with_tmp "ntmon_tbin_rotate.ntb" (fun path ->
+      write_file path (Nt_tbin.encode_string ~frame_records:8 a);
+      let obs = Obs.create () in
+      let f = Feed.tbin_tail ~obs path in
+      cksl "first stream" (lines a) (drain_lines f);
+      write_file path "";
+      ckb "idle at rotation" true (Feed.pull f = `Idle);
+      write_file path (Nt_tbin.encode_string ~frame_records:8 b);
+      cksl "second stream" (lines b) (drain_lines f);
+      Feed.close f;
+      cki "no parse errors" 0 (parse_errors obs))
+
 (* --- Checkpoint --- *)
 
 let test_checkpoint_roundtrip () =
@@ -732,6 +949,17 @@ let () =
           Alcotest.test_case "tail holds partial lines" `Quick test_trace_tail_partial_lines;
           Alcotest.test_case "truncation reopens" `Quick test_trace_tail_truncation_reopen;
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;
+          Alcotest.test_case "pcap tail grows in pieces" `Quick test_pcap_tail_grows_in_pieces;
+          Alcotest.test_case "pcap tail big-endian nanosecond" `Quick test_pcap_tail_big_endian_ns;
+          Alcotest.test_case "pcap tail seek resumes" `Quick test_pcap_tail_seek_resumes;
+          Alcotest.test_case "pcap tail counts a corrupt region once" `Quick
+            test_pcap_tail_counts_corrupt_region_once;
+          Alcotest.test_case "pcap tail rotation rereads the header" `Quick
+            test_pcap_tail_rotation_rereads_header;
+          Alcotest.test_case "pcap tail refuses a bad global header" `Quick
+            test_pcap_tail_refuses_bad_global_header;
+          Alcotest.test_case "tbin tail rotation rereads the magic" `Quick
+            test_tbin_tail_rotation_rereads_magic;
         ] );
       ( "checkpoint",
         [

@@ -246,16 +246,158 @@ let test_pcap_salvage_corrupt_tail () =
   let st = Pcap.read_stats r in
   Alcotest.(check bool) "tail reported" true (st.truncated_tail || st.skipped_bytes > 0)
 
-let test_pcap_fold_and_seq () =
+let test_pcap_packets_seq () =
   let buf = Buffer.create 256 in
   let w = Pcap.writer_to_buffer buf in
   for i = 1 to 5 do
     Pcap.write w ~time:(float_of_int i) (String.make i 'x')
   done;
   let r = Pcap.reader_of_string (Buffer.contents buf) in
-  Alcotest.(check int) "fold count" 5 (Pcap.fold r (fun acc _ -> acc + 1) 0);
-  let r2 = Pcap.reader_of_string (Buffer.contents buf) in
-  Alcotest.(check int) "seq length" 5 (Seq.length (Pcap.packets r2))
+  Alcotest.(check (list string))
+    "packets in order" (List.init 5 (fun i -> String.make (i + 1) 'x'))
+    (List.of_seq (Seq.map (fun (p : Pcap.packet) -> p.data) (Pcap.packets r)))
+
+(* One pcap source: a string, a channel and a decoder fed one byte at a
+   time must yield the same packets and the same loss accounting. Each
+   run ends in its stats or in the Bad_format message. *)
+let read_all next =
+  let rec go acc =
+    match next () with
+    | `Packet p -> go (p :: acc)
+    | `Done stats -> (List.rev acc, Ok (stats : Pcap.read_stats))
+    | `Bad msg -> (List.rev acc, Error msg)
+  in
+  go []
+
+let via_reader r =
+  read_all (fun () ->
+      match Pcap.read_next r with
+      | Some p -> `Packet p
+      | None -> `Done (Pcap.read_stats r)
+      | exception Pcap.Bad_format msg -> `Bad msg)
+
+let via_string ~salvage s = via_reader (Pcap.reader_of_string ~salvage s)
+
+let via_channel ~salvage s =
+  let path = Filename.temp_file "nt_pcap" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      In_channel.with_open_bin path (fun ic -> via_reader (Pcap.reader_of_channel ~salvage ic)))
+
+let via_bytes ~salvage s =
+  let d = Pcap.Decoder.create ~salvage () in
+  let fed = ref 0 in
+  read_all (fun () ->
+      let rec step () =
+        match Pcap.Decoder.next d with
+        | Pcap.Decoder.Packet p -> `Packet p
+        | Pcap.Decoder.End -> `Done (Pcap.Decoder.stats d)
+        | Pcap.Decoder.Bad msg -> `Bad msg
+        | Pcap.Decoder.Await ->
+            if !fed < String.length s then begin
+              Pcap.Decoder.feed d (String.make 1 s.[!fed]);
+              incr fed
+            end
+            else Pcap.Decoder.finish d;
+            step ()
+      in
+      step ())
+
+let check_sources_agree ~salvage name s =
+  let reference = via_string ~salvage s in
+  if via_channel ~salvage s <> reference then Alcotest.failf "%s: channel differs from string" name;
+  if via_bytes ~salvage s <> reference then Alcotest.failf "%s: 1-byte feeding differs" name;
+  reference
+
+let test_pcap_salvage_double_validates () =
+  (* The smashed second record's payload hides a plausible header whose
+     own payload ends in filler, not at a record boundary: the scanner
+     must reject it and resync on the third record. *)
+  let fake = Bytes.make 46 'f' in
+  List.iteri (fun i v -> Bytes.set_int32_le fake (4 * i) v) [ 1001l; 0l; 30l; 30l ];
+  let fake = Bytes.to_string fake in
+  let buf = Buffer.create 256 in
+  let w = Pcap.writer_to_buffer buf in
+  Pcap.write w ~time:1000. (String.make 20 'A');
+  Pcap.write w ~time:1001. ("BBBB" ^ fake ^ String.make 10 'B');
+  Pcap.write w ~time:1002. (String.make 28 'C');
+  let b = Bytes.of_string (Buffer.contents buf) in
+  Bytes.set_int32_le b (24 + 16 + 20 + 8) 0x7FFFFFFFl;
+  match check_sources_agree ~salvage:true "decoy" (Bytes.to_string b) with
+  | packets, Ok stats ->
+      Alcotest.(check (list string))
+        "decoy rejected" [ String.make 20 'A'; String.make 28 'C' ]
+        (List.map (fun (p : Pcap.packet) -> p.data) packets);
+      Alcotest.(check int) "one resync accepted" 1 stats.salvaged;
+      Alcotest.(check int) "rejected candidates count as resyncs" 4 stats.resyncs;
+      Alcotest.(check int) "the smashed record skipped" 76 stats.skipped_bytes
+  | _, Error msg -> Alcotest.fail msg
+
+(* A deterministic 300-packet capture for the mangling checks. *)
+let mangle_base =
+  let buf = Buffer.create 65536 in
+  let w = Pcap.writer_to_buffer buf in
+  for i = 0 to 299 do
+    let len = 14 + (i * 37 mod 400) in
+    Pcap.write w
+      ~time:(1003622400. +. (float_of_int i *. 0.01))
+      (String.init len (fun j -> Char.chr ((i + (j * 7)) land 0xFF)))
+  done;
+  Buffer.contents buf
+
+(* Salvage-mode stats per mangling seed, pinned so the loss accounting
+   cannot drift. Even seeds also cut the capture short, so tails get
+   truncated. *)
+let pinned_mangled_stats : (int * Pcap.read_stats) list =
+  [
+    (1, { records = 298; salvaged = 2; skipped_bytes = 533; resyncs = 2; truncated_tail = false });
+    (2, { records = 297; salvaged = 2; skipped_bytes = 357; resyncs = 2; truncated_tail = true });
+    (3, { records = 299; salvaged = 1; skipped_bytes = 35; resyncs = 1; truncated_tail = false });
+    (4, { records = 296; salvaged = 3; skipped_bytes = 639; resyncs = 3; truncated_tail = true });
+    (5, { records = 298; salvaged = 2; skipped_bytes = 391; resyncs = 2; truncated_tail = false });
+    (6, { records = 298; salvaged = 1; skipped_bytes = 543; resyncs = 1; truncated_tail = true });
+    (7, { records = 300; salvaged = 0; skipped_bytes = 0; resyncs = 0; truncated_tail = false });
+    (8, { records = 298; salvaged = 1; skipped_bytes = 483; resyncs = 1; truncated_tail = true });
+    (9, { records = 296; salvaged = 4; skipped_bytes = 871; resyncs = 4; truncated_tail = false });
+    (10, { records = 298; salvaged = 1; skipped_bytes = 149; resyncs = 1; truncated_tail = true });
+    ( 11,
+      { records = 295; salvaged = 5; skipped_bytes = 1023; resyncs = 5; truncated_tail = false } );
+    (12, { records = 297; salvaged = 1; skipped_bytes = 236; resyncs = 1; truncated_tail = true });
+  ]
+
+let test_pcap_sources_agree_on_mangled () =
+  List.iter
+    (fun (seed, pinned) ->
+      let m, _ = Nt_sim.Fault.mangle_pcap ~seed:(Int64.of_int seed) ~flips:40 mangle_base in
+      let m = if seed mod 2 = 0 then String.sub m 0 (String.length m - (seed * 29)) else m in
+      let name = Printf.sprintf "seed %d" seed in
+      (match check_sources_agree ~salvage:true name m with
+      | packets, Ok stats ->
+          if stats <> pinned then Alcotest.failf "%s: salvage stats moved" name;
+          Alcotest.(check int) (name ^ " packets") stats.records (List.length packets)
+      | _, Error msg -> Alcotest.failf "%s: salvage raised %s" name msg);
+      ignore (check_sources_agree ~salvage:false name m))
+    pinned_mangled_stats
+
+let test_pcap_record_larger_than_window () =
+  let big = String.init 200_000 (fun i -> Char.chr (i land 0xFF)) in
+  let datas = [ "before-the-big-one"; big; "after-the-big-one" ] in
+  let buf = Buffer.create 256 in
+  let w = Pcap.writer_to_buffer ~snaplen:262144 buf in
+  List.iteri (fun i d -> Pcap.write w ~time:(1000. +. float_of_int i) d) datas;
+  List.iter
+    (fun salvage ->
+      match check_sources_agree ~salvage "big record" (Buffer.contents buf) with
+      | packets, Ok stats ->
+          let got = List.map (fun (p : Pcap.packet) -> p.data) packets in
+          Alcotest.(check (list int)) "lengths" (List.map String.length datas)
+            (List.map String.length got);
+          Alcotest.(check bool) "payloads" true (List.equal String.equal datas got);
+          Alcotest.(check int) "nothing skipped" 0 stats.skipped_bytes
+      | _, Error msg -> Alcotest.fail msg)
+    [ false; true ]
 
 (* --- TCP reassembly --- *)
 
@@ -481,12 +623,18 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_pcap_bad_magic;
           Alcotest.test_case "truncated header" `Quick test_pcap_truncated_header;
           Alcotest.test_case "big endian" `Quick test_pcap_big_endian;
-          Alcotest.test_case "fold and seq" `Quick test_pcap_fold_and_seq;
+          Alcotest.test_case "packets seq" `Quick test_pcap_packets_seq;
           Alcotest.test_case "truncated final record" `Quick test_pcap_truncated_final_record;
           Alcotest.test_case "corrupt raises without salvage" `Quick
             test_pcap_corrupt_raises_without_salvage;
           Alcotest.test_case "salvage resyncs" `Quick test_pcap_salvage_resyncs;
           Alcotest.test_case "salvage corrupt tail" `Quick test_pcap_salvage_corrupt_tail;
+          Alcotest.test_case "sources agree on mangled captures" `Quick
+            test_pcap_sources_agree_on_mangled;
+          Alcotest.test_case "record larger than the window" `Quick
+            test_pcap_record_larger_than_window;
+          Alcotest.test_case "salvage double-validates candidates" `Quick
+            test_pcap_salvage_double_validates;
         ] );
       ( "tcp_reassembly",
         [
