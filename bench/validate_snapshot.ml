@@ -1,12 +1,12 @@
 (* Minimal JSON-Schema validator (type / required / properties / items /
    enum) for the observability snapshot exports — enough schema to keep
-   BENCH_obs.json and the binaries' --metrics output honest without an
-   external dependency.
+   the BENCH_*.json ledgers and the binaries' --metrics output honest
+   without an external dependency.
 
    Usage: validate_snapshot SCHEMA DOC [MEMBER]
 
-   With MEMBER, validate DOC's top-level member of that name (the bench
-   report embeds the snapshot under "snapshot") instead of the whole
+   With MEMBER, validate DOC's top-level member of that name (a bench
+   ledger embeds the snapshot under "snapshot") instead of the whole
    document. Exits 1 with a path-qualified message on the first
    violation. *)
 

@@ -9,10 +9,7 @@ val tbin_magic : string
 val checkpoint_version : string
 val obs_snapshot : string
 val obs_series : string
-val bench_obs : string
-val bench_par : string
-val bench_mon : string
-val bench_scale : string
+val bench_ledger : string
 val exn_report : string
 
 val all : (string * string) list
