@@ -657,6 +657,69 @@ let test_fault_mangle_pcap () =
     (String.sub original 24 (String.length original - 24)
     <> String.sub mangled 24 (String.length mangled - 24))
 
+(* --- pinned simulator output --- *)
+
+(* MD5 digests of small fixed-seed simulator outputs. The event queue,
+   the record sorter and the packet pipe's frame window all order by
+   (time, insertion sequence), a strict total order, so any change to
+   how they order events, records or frames moves these digests. *)
+
+module Pipeline = Nt_core.Pipeline
+module Tw = Nt_util.Trace_week
+
+let digest_start = Tw.time_of ~day:Tw.Wed ~hour:10 ~minute:0
+let campus_config = { Nt_workload.Email.default_config with users = 4 }
+let eecs_config = { Nt_workload.Research.default_config with users = 4 }
+
+let simulate_into sink = function
+  | `Campus ->
+      ignore
+        (Pipeline.simulate_campus ~config:campus_config ~start:digest_start
+           ~stop:(digest_start +. 600.) ~sink ())
+  | `Eecs ->
+      ignore
+        (Pipeline.simulate_eecs ~config:eecs_config ~start:digest_start
+           ~stop:(digest_start +. 600.) ~sink ())
+
+let text_digest system =
+  let buf = Buffer.create (1 lsl 16) in
+  simulate_into
+    (fun r ->
+      Buffer.add_string buf (Record.to_line r);
+      Buffer.add_char buf '\n')
+    system;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let tbin_digest system =
+  let buf = Buffer.create (1 lsl 16) in
+  let w = Nt_tbin.Writer.create (Buffer.add_string buf) in
+  simulate_into (Nt_tbin.Writer.add w) system;
+  Nt_tbin.Writer.close w;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pcap_digest ?fault system =
+  let buf = Buffer.create (1 lsl 20) in
+  let writer = Nt_net.Pcap.writer_to_buffer buf in
+  let stop = digest_start +. 300. in
+  (match system with
+  | `Campus ->
+      ignore
+        (Pipeline.campus_to_pcap ~config:campus_config ?fault ~start:digest_start ~stop
+           ~writer ())
+  | `Eecs ->
+      ignore (Pipeline.eecs_to_pcap ~config:eecs_config ?fault ~start:digest_start ~stop ~writer ()));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_pinned_digests () =
+  let pin name expected actual = Alcotest.(check string) name expected actual in
+  pin "campus text" "45c671e9afd336360581fa2d924f1596" (text_digest `Campus);
+  pin "eecs text" "cd8db2d1893ec358be5095a1bb2cd42a" (text_digest `Eecs);
+  pin "campus tbin" "47298042ed009c93f42a2ed4ee6e1553" (tbin_digest `Campus);
+  pin "campus pcap" "f5549891eb0b8f26550ddd165c28603a" (pcap_digest `Campus);
+  pin "eecs pcap" "04fa0f85cf058c4e09e72c9258dab021" (pcap_digest `Eecs);
+  pin "campus pcap, campus_burst" "764b0adf847053e3c054eb8fc7e37451"
+    (pcap_digest ~fault:Fault.campus_burst `Campus)
+
 let () =
   Alcotest.run "nt_sim"
     [
@@ -734,4 +797,5 @@ let () =
           Alcotest.test_case "clock jitter bounded" `Quick test_fault_clock_jitter_bounded;
           Alcotest.test_case "mangle pcap" `Quick test_fault_mangle_pcap;
         ] );
+      ("pinned", [ Alcotest.test_case "simulator output digests" `Quick test_pinned_digests ]);
     ]
