@@ -667,8 +667,8 @@ let test_fault_mangle_pcap () =
 module Pipeline = Nt_core.Pipeline
 module Tw = Nt_util.Trace_week
 
-let digest_start = Tw.time_of ~day:Tw.Wed ~hour:10 ~minute:0
-let campus_config = { Nt_workload.Email.default_config with users = 4 }
+let digest_start = Tw.time_of ~day:Tw.Wed ~hour:9 ~minute:0
+let campus_config = { Nt_workload.Email.default_config with users = 10 }
 let eecs_config = { Nt_workload.Research.default_config with users = 4 }
 
 let simulate_into sink = function
@@ -712,12 +712,12 @@ let pcap_digest ?fault system =
 
 let test_pinned_digests () =
   let pin name expected actual = Alcotest.(check string) name expected actual in
-  pin "campus text" "45c671e9afd336360581fa2d924f1596" (text_digest `Campus);
-  pin "eecs text" "cd8db2d1893ec358be5095a1bb2cd42a" (text_digest `Eecs);
-  pin "campus tbin" "47298042ed009c93f42a2ed4ee6e1553" (tbin_digest `Campus);
-  pin "campus pcap" "f5549891eb0b8f26550ddd165c28603a" (pcap_digest `Campus);
-  pin "eecs pcap" "04fa0f85cf058c4e09e72c9258dab021" (pcap_digest `Eecs);
-  pin "campus pcap, campus_burst" "764b0adf847053e3c054eb8fc7e37451"
+  pin "campus text" "10854bfd3ba451bc7821885c00c230fa" (text_digest `Campus);
+  pin "eecs text" "765a27861f51aece92412bf87d2022e2" (text_digest `Eecs);
+  pin "campus tbin" "d27e9061f5a812e3e84de84ae3f1aa10" (tbin_digest `Campus);
+  pin "campus pcap" "b1a263b106c860ff7d94300def96bc6f" (pcap_digest `Campus);
+  pin "eecs pcap" "ce0ceaf0cda99b4c094e06570738052d" (pcap_digest `Eecs);
+  pin "campus pcap, campus_burst" "e867a877556b9e80e0134ec4655bac79"
     (pcap_digest ~fault:Fault.campus_burst `Campus)
 
 let () =
