@@ -547,9 +547,9 @@ let nfsiod () =
         let last = ref neg_infinity in
         (* The monitor sees packets in wire-time order, so sort the
            emitted records the way the main pipeline does. *)
-        let sorter = Nt_sim.Record_sorter.create (Io_log.observe io) in
+        let sorter = Nt_sim.Record_sorter.of_records (Io_log.observe io) in
         let sink r =
-          Nt_sim.Record_sorter.push sorter r;
+          Nt_sim.Record_sorter.push_record sorter r;
           let t = r.Nt_trace.Record.time in
           if t < !last then max_delay := Float.max !max_delay (!last -. t);
           if t > !last then last := t
@@ -875,9 +875,12 @@ let faultperf () =
   in
   let through plan =
     time_run (fun writer ->
-        let inj = Fault.create plan in
+        let write =
+          Fault.apply (Fault.create plan) ~emit:(fun time bytes ->
+              Nt_net.Pcap.write writer ~time bytes)
+        in
         for i = 0 to n - 1 do
-          Fault.wrap_writer inj writer ~time:(float_of_int i *. 1e-4) frame
+          write ~time:(float_of_int i *. 1e-4) frame
         done)
   in
   let off = through Fault.none in
@@ -897,8 +900,9 @@ let faultperf () =
        [
          Ledger.check "disabled_overhead_pct" (vs off) Le 5.0
            ~disarmed:
-             "best-of-3 reads swing from +5.8% to +39.5% on a 2-vCPU host; arming waits on \
-              dropping Fault.apply's per-packet list allocation on the disabled path";
+             "best-of-3 reads swing from +4.3% to +11.6% on a 2-vCPU host although the \
+              disabled path no longer allocates per packet; arming waits on a paired \
+              statistic that decides on the code, not on the neighbours";
        ]
       : bool)
 

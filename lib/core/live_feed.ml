@@ -9,7 +9,7 @@ type workload = Campus | Eecs
 
 type state = {
   engine : Engine.t;
-  sorter : Record_sorter.t;
+  sorter : Nt_trace.Record.t Record_sorter.t;
   queue : Nt_trace.Record.t Queue.t;
   stop : float;
   slice_s : float;
@@ -69,18 +69,18 @@ let create ?obs ?(email = Email.default_config) ?(research = Research.default_co
   let queue = Queue.create () in
   let c_records = Obs.counter obs ~help:"records released by the live sim feed" "pipeline.records" in
   let sorter =
-    Record_sorter.create ~obs (fun r ->
+    Record_sorter.of_records ~obs (fun r ->
         Obs.inc c_records;
         Queue.push r queue)
   in
   (match workload with
   | Campus ->
       let server = Server.create ~fsid:2 ~ip:(Nt_net.Ip_addr.v 10 1 1 2) () in
-      let wl = Email.setup email ~engine ~server ~sink:(Record_sorter.push sorter) in
+      let wl = Email.setup email ~engine ~server ~sink:(Record_sorter.push_record sorter) in
       Email.schedule wl ~start ~stop
   | Eecs ->
       let server = Server.create ~fsid:3 ~ip:(Nt_net.Ip_addr.v 10 2 1 2) () in
-      let wl = Research.setup research ~engine ~server ~sink:(Record_sorter.push sorter) in
+      let wl = Research.setup research ~engine ~server ~sink:(Record_sorter.push_record sorter) in
       Research.schedule wl ~start ~stop);
   let st =
     {

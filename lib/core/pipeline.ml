@@ -37,11 +37,11 @@ let simulate_campus ?obs ?(config = Email.default_config) ~start ~stop ~sink () 
   let engine = Engine.create ~obs ~start:(start -. 1.) () in
   let server = Server.create ~fsid:2 ~ip:campus_server_ip () in
   let sorter =
-    Record_sorter.create ~obs (fun r ->
+    Record_sorter.of_records ~obs (fun r ->
         Obs.inc c_records;
         sink r)
   in
-  let wl = Email.setup config ~engine ~server ~sink:(Record_sorter.push sorter) in
+  let wl = Email.setup config ~engine ~server ~sink:(Record_sorter.push_record sorter) in
   Obs.with_span obs "simulate.campus" (fun () ->
       Email.schedule wl ~start ~stop;
       Engine.run_until engine stop;
@@ -66,11 +66,11 @@ let simulate_eecs ?obs ?(config = Research.default_config) ~start ~stop ~sink ()
   let engine = Engine.create ~obs ~start:(start -. 1.) () in
   let server = Server.create ~fsid:3 ~ip:eecs_server_ip () in
   let sorter =
-    Record_sorter.create ~obs (fun r ->
+    Record_sorter.of_records ~obs (fun r ->
         Obs.inc c_records;
         sink r)
   in
-  let wl = Research.setup config ~engine ~server ~sink:(Record_sorter.push sorter) in
+  let wl = Research.setup config ~engine ~server ~sink:(Record_sorter.push_record sorter) in
   Obs.with_span obs "simulate.eecs" (fun () ->
       Research.schedule wl ~start ~stop;
       Engine.run_until engine stop;

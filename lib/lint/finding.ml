@@ -12,28 +12,13 @@ let to_string f =
     (Rule.severity_to_string f.rule.Rule.severity)
     f.rule.Rule.id where f.detail
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json f =
   let time = if Float.is_nan f.time then "null" else Printf.sprintf "%.6f" f.time in
   Printf.sprintf
     {|{"rule":"%s","family":"%s","severity":"%s","index":%d,"time":%s,"detail":"%s"}|}
-    (json_escape f.rule.Rule.id)
+    (Nt_obs.Obs.Json.escape f.rule.Rule.id)
     (Rule.family_to_string f.rule.Rule.family)
     (Rule.severity_to_string f.rule.Rule.severity)
-    f.index time (json_escape f.detail)
+    f.index time (Nt_obs.Obs.Json.escape f.detail)
 
 let list_to_json fs = "[" ^ String.concat "," (List.map to_json fs) ^ "]"

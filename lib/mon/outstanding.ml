@@ -1,121 +1,85 @@
 module Record = Nt_trace.Record
+module Heap = Nt_util.Heap
 
-type entry = { expiry : float; proc : string; reply_lost : bool }
+(* Keyed by expiry (reply time, or call time + timeout when the reply
+   was never captured). *)
+type call = { proc : string; reply_lost : bool }
 
 type t = {
   cap : int;
   timeout : float;
-  mutable heap : entry array;  (* min-heap on expiry; [0, len) live *)
-  mutable len : int;
+  heap : call Heap.t;
   mutable lost : int;
   mutable dropped : int;
 }
 
-let dummy = { expiry = 0.; proc = ""; reply_lost = false }
-
 let create ?(cap = 4096) ?(timeout = 60.) () =
   if cap <= 0 then invalid_arg "Outstanding.create: cap <= 0";
-  { cap; timeout; heap = Array.make (min cap 64) dummy; len = 0; lost = 0; dropped = 0 }
+  {
+    cap;
+    timeout;
+    heap = Heap.create ~capacity:(min cap 64) ~dummy:{ proc = ""; reply_lost = false } ();
+    lost = 0;
+    dropped = 0;
+  }
 [@@nt.raise_ok
   "cap is operator configuration validated at construction; a non-positive cap is a setup \
    error, not a runtime condition"]
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if t.heap.(i).expiry < t.heap.(p).expiry then begin
-      swap t i p;
-      sift_up t p
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let m = ref i in
-  if l < t.len && t.heap.(l).expiry < t.heap.(!m).expiry then m := l;
-  if r < t.len && t.heap.(r).expiry < t.heap.(!m).expiry then m := r;
-  if !m <> i then begin
-    swap t i !m;
-    sift_down t !m
-  end
-
-let pop_min t =
-  if t.len = 0 then None
+let insert t expiry call =
+  if Heap.length t.heap < t.cap then Heap.push t.heap expiry call
   else begin
-    let e = t.heap.(0) in
-    t.len <- t.len - 1;
-    t.heap.(0) <- t.heap.(t.len);
-    t.heap.(t.len) <- dummy;
-    sift_down t 0;
-    Some e
-  end
-
-let rec insert t e =
-  if t.len = Array.length t.heap && t.len < t.cap then begin
-    let bigger = Array.make (min t.cap (2 * t.len)) dummy in
-    Array.blit t.heap 0 bigger 0 t.len;
-    t.heap <- bigger
-  end;
-  if t.len = t.cap then begin
-    (* Full: keep the call that stays in flight longest. *)
-    if e.expiry <= t.heap.(0).expiry then t.dropped <- t.dropped + 1
-    else begin
-      ignore (pop_min t);
-      t.dropped <- t.dropped + 1;
-      insert_raw t e
+    (* Full: keep the call that stays in flight longest; among equal
+       expiries the earliest arrival goes first. *)
+    t.dropped <- t.dropped + 1;
+    if expiry > Heap.min_key t.heap then begin
+      ignore (Heap.pop t.heap : call);
+      Heap.push t.heap expiry call
     end
   end
-  else insert_raw t e
 
-and insert_raw t e =
-  t.heap.(t.len) <- e;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+(* One shared payload per (procedure, reply-lost) pair, so noting a
+   call allocates no entry. *)
+let shared =
+  List.map
+    (fun p ->
+      let proc = Nt_nfs.Proc.to_string p in
+      (p, { proc; reply_lost = false }, { proc; reply_lost = true }))
+    Nt_nfs.Proc.all
+
+let rec call_of p ~reply_lost = function
+  | [] -> { proc = Nt_nfs.Proc.to_string p; reply_lost }
+  | (q, replied, lost) :: rest ->
+      if q == p then if reply_lost then lost else replied else call_of p ~reply_lost rest
 
 let note t (r : Record.t) =
+  let p = Record.proc r in
   match r.Record.reply_time with
-  | Some rt ->
-      insert t
-        { expiry = rt; proc = Nt_nfs.Proc.to_string (Record.proc r); reply_lost = false }
-  | None ->
-      insert t
-        {
-          expiry = r.Record.time +. t.timeout;
-          proc = Nt_nfs.Proc.to_string (Record.proc r);
-          reply_lost = true;
-        }
+  | Some rt -> insert t rt (call_of p ~reply_lost:false shared)
+  | None -> insert t (r.Record.time +. t.timeout) (call_of p ~reply_lost:true shared)
 
 let advance t ~now =
-  let continue = ref true in
-  while !continue do
-    if t.len > 0 && t.heap.(0).expiry <= now then begin
-      match pop_min t with
-      | Some e -> if e.reply_lost then t.lost <- t.lost + 1
-      | None -> ()
-    end
-    else continue := false
+  while (not (Heap.is_empty t.heap)) && Heap.min_key t.heap <= now do
+    if (Heap.pop t.heap).reply_lost then t.lost <- t.lost + 1
   done
 
-let outstanding t = t.len
+let outstanding t = Heap.length t.heap
 let lost t = t.lost
 let dropped t = t.dropped
 
 (* --- checkpoint serialization --- *)
 
 let to_lines t =
-  let es = Array.sub t.heap 0 t.len in
-  Array.sort (fun a b -> compare (a.expiry, a.proc) (b.expiry, b.proc)) es;
-  Printf.sprintf "pending n=%d lost=%d dropped=%d" t.len t.lost t.dropped
-  :: Array.to_list
-       (Array.map
-          (fun e ->
-            Printf.sprintf "call %h %d %s" e.expiry (if e.reply_lost then 1 else 0) e.proc)
-          es)
+  let es = ref [] in
+  Heap.iter (fun expiry c -> es := (expiry, c) :: !es) t.heap;
+  (* Sorted on the whole line content, so equal states serialize
+     identically whatever their heap layout. *)
+  let es = List.sort compare !es in
+  Printf.sprintf "pending n=%d lost=%d dropped=%d" (outstanding t) t.lost t.dropped
+  :: List.map
+       (fun (expiry, c) ->
+         Printf.sprintf "call %h %d %s" expiry (if c.reply_lost then 1 else 0) c.proc)
+       es
 
 let of_lines ?cap ?timeout lines =
   let ( let* ) = Result.bind in
@@ -152,7 +116,7 @@ let of_lines ?cap ?timeout lines =
                   | None -> Error ("bad pending expiry: " ^ line)
                   | Some expiry ->
                       let* lost01 = int lost01 in
-                      insert t { expiry; proc; reply_lost = lost01 <> 0 };
+                      insert t expiry { proc; reply_lost = lost01 <> 0 };
                       Ok ())
               | _ -> Error ("bad pending line: " ^ line))
             (Ok ()) rest
@@ -161,15 +125,18 @@ let of_lines ?cap ?timeout lines =
 
 let by_proc t =
   let counts = Hashtbl.create 8 in
-  for i = 0 to t.len - 1 do
-    let p = t.heap.(i).proc in
-    Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
-  done;
+  Heap.iter
+    (fun _ { proc = p; _ } ->
+      Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
+    t.heap;
   List.sort
     (fun (ka, na) (kb, nb) -> if na <> nb then compare nb na else compare ka kb)
     (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
 
 let footprint t =
-  (* heap slots are preallocated up to cap; live entries carry a boxed
-     record + proc string. *)
-  Nt_obs.Footprint.v ~cards:t.len ~words:(8 + Array.length t.heap + (t.len * 10))
+  (* Each heap slot is one word in each of the three parallel arrays
+     (unboxed expiry, sequence, payload pointer). Noted calls share the
+     [shared] payloads; one rebuilt from a checkpoint carries its own
+     3-word record and proc string, so 6 words per entry bounds it. *)
+  let n = outstanding t in
+  Nt_obs.Footprint.v ~cards:n ~words:(8 + (3 * Heap.capacity t.heap) + (n * 6))

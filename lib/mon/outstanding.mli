@@ -4,9 +4,10 @@
     The monitor sees completed records (call + reply when captured), so
     a call is outstanding at feed time [T] when its reply is later than
     [T], or was never captured and its timeout has not yet expired.
-    State is a bounded binary min-heap on expiry time; when full, the
-    call expiring soonest is dropped and counted, so a reply storm can
-    never grow the monitor. *)
+    State is a {!Nt_util.Heap} keyed by expiry time and capped at
+    [cap] entries; when full, the call expiring soonest (the earliest
+    arrival among equal expiries) is dropped and counted, so a reply
+    storm can never grow the monitor. *)
 
 type t
 

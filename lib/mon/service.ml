@@ -205,23 +205,10 @@ let report_text t =
     (Ring.late t.ring) (Ring.backward t.ring) (Ring.forward_jumps t.ring) (Ring.rotations t.ring);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_rows rows =
   let row (key, (r : Win.row)) =
     Printf.sprintf "{\"key\":\"%s\",\"ops\":%d,\"read_bytes\":%d,\"write_bytes\":%d}"
-      (json_escape key) r.Win.ops r.Win.read_bytes r.Win.write_bytes
+      (Obs.Json.escape key) r.Win.ops r.Win.read_bytes r.Win.write_bytes
   in
   "[" ^ String.concat "," (List.map row rows) ^ "]"
 
@@ -253,7 +240,7 @@ let report_json t =
   let procs =
     String.concat ","
       (List.map
-         (fun (p, n) -> Printf.sprintf "\"%s\":%d" (json_escape p) n)
+         (fun (p, n) -> Printf.sprintf "\"%s\":%d" (Obs.Json.escape p) n)
          (Outstanding.by_proc t.out))
   in
   Printf.sprintf

@@ -315,8 +315,10 @@ let get_span snap path = List.find_opt (fun s -> s.path = path) snap.spans
 
 (* --- JSON export --- *)
 
-let buf_json_string b s =
-  Buffer.add_char b '"';
+(* The one JSON string escaper and number formatter (lib/check keeps
+   its own: it links compiler-libs only); other modules reach them as
+   [Json.escape] and [Json.number]. *)
+let buf_json_escape b s =
   String.iter
     (fun c ->
       match c with
@@ -327,12 +329,15 @@ let buf_json_string b s =
       | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let buf_json_string b s =
+  Buffer.add_char b '"';
+  buf_json_escape b s;
   Buffer.add_char b '"'
 
 let json_float f =
-  if Float.is_nan f || Float.is_integer f = false && Float.is_finite f = false then "0"
-  else if Float.is_finite f = false then "0"
+  if not (Float.is_finite f) then "0"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.9g" f
 
@@ -499,6 +504,13 @@ module Json = struct
     | Str of string
     | Arr of v list
     | Obj of (string * v) list
+
+  let escape s =
+    let b = Buffer.create (String.length s + 2) in
+    buf_json_escape b s;
+    Buffer.contents b
+
+  let number = json_float
 
   exception Fail of string
 

@@ -162,12 +162,13 @@ val to_prometheus : snapshot -> string
 
 val output_json : out_channel -> snapshot -> unit
 
-(** {1 Minimal JSON parser}
+(** {1 Minimal JSON}
 
-    Enough JSON to validate and interrogate our own exports (and the
-    bench's snapshot schema) without an external dependency. Numbers
-    are floats; object member order is preserved; duplicate keys keep
-    their first occurrence for {!member}. *)
+    Enough JSON to write our own exports and to validate and
+    interrogate them (and the bench's snapshot schema) without an
+    external dependency. Numbers are floats; object member order is
+    preserved; duplicate keys keep their first occurrence for
+    {!member}. *)
 
 module Json : sig
   type v =
@@ -177,6 +178,17 @@ module Json : sig
     | Str of string
     | Arr of v list
     | Obj of (string * v) list
+
+  val escape : string -> string
+  (** The body of a JSON string literal for [s], without the quotes:
+      quote, backslash, newline, carriage return and tab escaped by
+      name, other control bytes as [\u00XX], every other byte
+      verbatim. *)
+
+  val number : float -> string
+  (** A JSON number for [f]: integral values below 1e15 without a
+      fraction, others to 9 significant digits, and ["0"] for NaN and
+      the infinities (which JSON cannot spell). *)
 
   val parse : string -> (v, string) result
   (** Rejects trailing garbage; the whole input must be one value. *)

@@ -157,18 +157,6 @@ let absorb t b =
 
 (* --- export --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let base = ref infinity in
   for i = 0 to t.len - 1 do
@@ -189,13 +177,13 @@ let to_json t =
           (Printf.sprintf
              "  {\"name\": \"%s\", \"cat\": \"nt\", \"ph\": \"C\", \"ts\": %.3f, \"pid\": %d, \
               \"tid\": %d, \"args\": {\"value\": %.0f}}"
-             (json_escape e.ev_name) us pid e.tid e.value)
+             (Obs.Json.escape e.ev_name) us pid e.tid e.value)
     | ph ->
         Buffer.add_string b
           (Printf.sprintf
              "  {\"name\": \"%s\", \"cat\": \"nt\", \"ph\": \"%c\", \"ts\": %.3f, \"pid\": %d, \
               \"tid\": %d}"
-             (json_escape e.ev_name) ph us pid e.tid)
+             (Obs.Json.escape e.ev_name) ph us pid e.tid)
   done;
   Buffer.add_string b
     (Printf.sprintf "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"dropped\": %d}}\n"

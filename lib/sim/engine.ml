@@ -1,102 +1,50 @@
 module Obs = Nt_obs.Obs
+module Heap = Nt_util.Heap
 
-type entry = { at : float; seq : int; thunk : unit -> unit }
-
-(* Simple binary min-heap over (at, seq). *)
+(* Thunks keyed by firing time; the heap's (time, insertion) order is
+   what makes same-instant events fire in scheduling order. *)
 type t = {
-  mutable heap : entry array;
-  mutable size : int;
+  queue : (unit -> unit) Heap.t;
   mutable clock : float;
-  mutable next_seq : int;
   c_dispatched : Obs.counter;
   g_depth : Obs.gauge;
 }
-
-let dummy = { at = 0.; seq = 0; thunk = ignore }
 
 (* The event loop has no semantic accessors of its own, so the default
    registry is the disabled [Obs.null]: uninstrumented simulations pay
    one dead branch per event. *)
 let create ?(obs = Obs.null) ?(start = 0.) () =
   {
-    heap = Array.make 1024 dummy;
-    size = 0;
+    queue = Heap.create ~capacity:1024 ~dummy:ignore ();
     clock = start;
-    next_seq = 0;
     c_dispatched = Obs.counter obs ~help:"simulation events fired" "engine.events_dispatched";
     g_depth = Obs.gauge obs ~help:"peak event-queue depth" "engine.queue_depth";
   }
 
 let now t = t.clock
 
-let less a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && less t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
 let schedule t at thunk =
   if at < t.clock then invalid_arg "Engine.schedule: time is in the past";
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- { at; seq = t.next_seq; thunk };
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  Obs.set_max t.g_depth (float_of_int t.size);
-  sift_up t (t.size - 1)
+  Heap.push t.queue at thunk;
+  Obs.set_max t.g_depth (float_of_int (Heap.length t.queue))
 
 let schedule_in t delay thunk = schedule t (t.clock +. delay) thunk
 
-let pop t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  sift_down t 0;
-  top
+let fire t =
+  t.clock <- Float.max t.clock (Heap.min_key t.queue);
+  let thunk = Heap.pop t.queue in
+  Obs.inc t.c_dispatched;
+  thunk ()
 
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 || t.heap.(0).at > horizon then continue := false
-    else begin
-      let e = pop t in
-      t.clock <- Float.max t.clock e.at;
-      Obs.inc t.c_dispatched;
-      e.thunk ()
-    end
+  while (not (Heap.is_empty t.queue)) && Heap.min_key t.queue <= horizon do
+    fire t
   done;
   t.clock <- Float.max t.clock horizon
 
 let run_all t =
-  while t.size > 0 do
-    let e = pop t in
-    t.clock <- Float.max t.clock e.at;
-    Obs.inc t.c_dispatched;
-    e.thunk ()
+  while not (Heap.is_empty t.queue) do
+    fire t
   done
 
-let pending t = t.size
+let pending t = Heap.length t.queue

@@ -1,6 +1,7 @@
 (** Discrete-event simulation engine.
 
-    A single global clock and a priority queue of thunks. Events
+    A single global clock and a {!Nt_util.Heap} of thunks keyed by
+    firing time. The heap pops equal keys first-in first-out, so events
     scheduled for the same instant fire in insertion order, which keeps
     runs deterministic. *)
 

@@ -1,5 +1,4 @@
 module Prng = Nt_util.Prng
-module Pcap = Nt_net.Pcap
 module Obs = Nt_obs.Obs
 
 type drop_model =
@@ -148,42 +147,34 @@ let jitter t at =
   if t.plan.clock_jitter = 0. then at
   else at +. (((Prng.unit_float t.rng *. 2.) -. 1.) *. t.plan.clock_jitter)
 
-let apply t ~time data =
+let apply t ~emit ~time data =
   Obs.inc t.c_presented;
-  if step_drop t then begin
-    Obs.inc t.c_dropped;
-    []
-  end
+  if step_drop t then Obs.inc t.c_dropped
   else begin
     let p = t.plan in
     let at = jitter t time in
-    let out =
-      if p.duplicate > 0. && Prng.chance t.rng p.duplicate then begin
-        Obs.inc t.c_duplicated;
-        [ (at, data); (at +. p.duplicate_delay, data) ]
-      end
-      else if p.corrupt > 0. && String.length data > 0 && Prng.chance t.rng p.corrupt then begin
-        Obs.inc t.c_corrupted;
-        [ (at, flip_bytes t data) ]
-      end
-      else if
-        p.truncate > 0. && String.length data > p.truncate_to && Prng.chance t.rng p.truncate
-      then begin
-        Obs.inc t.c_truncated;
-        [ (at, String.sub data 0 p.truncate_to) ]
-      end
-      else if p.reorder > 0. && Prng.chance t.rng p.reorder then begin
-        Obs.inc t.c_reordered;
-        [ (at +. p.reorder_displace, data) ]
-      end
-      else [ (at, data) ]
-    in
-    Obs.add t.c_emitted (List.length out);
-    out
+    Obs.inc t.c_emitted;
+    if p.duplicate > 0. && Prng.chance t.rng p.duplicate then begin
+      Obs.inc t.c_duplicated;
+      Obs.inc t.c_emitted;
+      emit at data;
+      emit (at +. p.duplicate_delay) data
+    end
+    else if p.corrupt > 0. && String.length data > 0 && Prng.chance t.rng p.corrupt then begin
+      Obs.inc t.c_corrupted;
+      emit at (flip_bytes t data)
+    end
+    else if p.truncate > 0. && String.length data > p.truncate_to && Prng.chance t.rng p.truncate
+    then begin
+      Obs.inc t.c_truncated;
+      emit at (String.sub data 0 p.truncate_to)
+    end
+    else if p.reorder > 0. && Prng.chance t.rng p.reorder then begin
+      Obs.inc t.c_reordered;
+      emit (at +. p.reorder_displace) data
+    end
+    else emit at data
   end
-
-let wrap_writer t writer ~time data =
-  List.iter (fun (at, bytes) -> Pcap.write writer ~time:at bytes) (apply t ~time data)
 
 let mangle_pcap ?(seed = 41L) ~flips bytes =
   let b = Bytes.of_string bytes in

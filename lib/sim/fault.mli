@@ -84,14 +84,12 @@ val create : ?obs:Nt_obs.Obs.t -> ?seed:int64 -> plan -> t
 
 val counts : t -> counts
 
-val apply : t -> time:float -> string -> (float * string) list
-(** Pass one packet through the plan. Returns zero (dropped), one, or
-    two (duplicated) [(time, bytes)] pairs, with timestamps jittered or
-    displaced as the plan dictates. *)
-
-val wrap_writer : t -> Nt_net.Pcap.writer -> time:float -> string -> unit
-(** [wrap_writer t w] is a drop-in replacement for [Pcap.write w]: each
-    packet runs through {!apply} and the survivors are written. *)
+val apply : t -> emit:(float -> string -> unit) -> time:float -> string -> unit
+(** Pass one packet through the plan, calling [emit time bytes] zero
+    (dropped), one, or two (duplicated) times, with timestamps jittered
+    or displaced as the plan dictates. Build the per-packet writer once
+    by partial application: [Fault.apply t ~emit] is a drop-in for a
+    [~time] write; on the disabled path a packet costs no allocation. *)
 
 val mangle_pcap : ?seed:int64 -> flips:int -> string -> string * int
 (** [mangle_pcap ~flips bytes] flips up to [flips] random bytes of a

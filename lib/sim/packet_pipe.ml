@@ -10,84 +10,15 @@ type transport = Udp_transport | Tcp_transport
 
 let nfs_port = 2049
 
-(* Bounded-window sorter for (time, frame) pairs; packets from one
-   record interleave in time with the next record's. *)
-module Psort = struct
-  type entry = { at : float; seq : int; frame : string }
-
-  type t = {
-    mutable heap : entry array;
-    mutable size : int;
-    horizon : float;
-    emit : float -> string -> unit;
-    mutable max_seen : float;
-    mutable next_seq : int;
-  }
-
-  let dummy = { at = 0.; seq = 0; frame = "" }
-
-  let create ~horizon emit =
-    { heap = Array.make 4096 dummy; size = 0; horizon; emit; max_seen = neg_infinity; next_seq = 0 }
-
-  let less a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
-
-  let swap t i j =
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(j);
-    t.heap.(j) <- tmp
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t.heap.(i) t.heap.(parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && less t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let release_until t threshold =
-    while t.size > 0 && t.heap.(0).at <= threshold do
-      let top = t.heap.(0) in
-      t.size <- t.size - 1;
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- dummy;
-      sift_down t 0;
-      t.emit top.at top.frame
-    done
-
-  let push t at frame =
-    if t.size = Array.length t.heap then begin
-      let bigger = Array.make (2 * t.size) dummy in
-      Array.blit t.heap 0 bigger 0 t.size;
-      t.heap <- bigger
-    end;
-    t.heap.(t.size) <- { at; seq = t.next_seq; frame };
-    t.next_seq <- t.next_seq + 1;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1);
-    if at > t.max_seen then t.max_seen <- at;
-    release_until t (t.max_seen -. t.horizon)
-
-  let flush t = release_until t infinity
-end
-
 type flow_state = { mutable seq : int; mutable started : bool }
 
 type t = {
   transport : transport;
   rng : Prng.t;
   mtu : int;
-  sorter : Psort.t;
+  (* Packets of one record interleave in time with the next record's,
+     so frames pass through the reorder window too. *)
+  sorter : string Record_sorter.t;
   (* TCP sequence state, keyed by (src ip, dst ip). *)
   flows : (int * int, flow_state) Hashtbl.t;
   injector : Fault.t;
@@ -111,23 +42,20 @@ let create ?obs ?monitor_loss ?fault ?(seed = 77L) ?(mtu = 9000) ~transport ~wri
   let c_written =
     Nt_obs.Obs.counter obs ~help:"packets written to the capture" "pipe.packets_written"
   in
-  let emit at frame =
-    match Fault.apply injector ~time:at frame with
-    | [ (t, bytes) ] ->
-        Pcap.write writer ~time:t bytes;
-        Nt_obs.Obs.inc c_written
-    | out ->
-        List.iter
-          (fun (t, bytes) ->
-            Pcap.write writer ~time:t bytes;
-            Nt_obs.Obs.inc c_written)
-          out
+  let emit =
+    Fault.apply injector ~emit:(fun time bytes ->
+        Pcap.write writer ~time bytes;
+        Nt_obs.Obs.inc c_written)
   in
   {
     transport;
     rng;
     mtu;
-    sorter = Psort.create ~horizon:630. emit;
+    (* The window's sorter.* counters would double the record sorter's
+       on a shared registry, so it counts nowhere. *)
+    sorter =
+      Record_sorter.create ~obs:Nt_obs.Obs.null ~horizon:630. ~dummy:""
+        (fun time frame -> emit ~time frame);
     flows = Hashtbl.create 64;
     injector;
     c_written;
@@ -175,7 +103,7 @@ let push_udp t ~at ~src ~dst ~src_port ~dst_port msg =
   let frame =
     Frame.encode (Frame.udp ~src_ip:src ~dst_ip:dst ~src_port ~dst_port msg)
   in
-  Psort.push t.sorter at frame
+  Record_sorter.push t.sorter at frame
 
 let push_tcp t ~at ~src ~dst ~src_port ~dst_port msg =
   let f = flow t ~src ~dst in
@@ -185,7 +113,7 @@ let push_tcp t ~at ~src ~dst ~src_port ~dst_port msg =
       Frame.encode
         (Frame.tcp ~syn:true ~src_ip:src ~dst_ip:dst ~src_port ~dst_port ~seq:f.seq "")
     in
-    Psort.push t.sorter (at -. 0.000001) syn;
+    Record_sorter.push t.sorter (at -. 0.000001) syn;
     f.seq <- (f.seq + 1) land 0xFFFFFFFF
   end;
   let stream = Rm.frame msg in
@@ -201,7 +129,7 @@ let push_tcp t ~at ~src ~dst ~src_port ~dst_port msg =
         (Frame.tcp ~src_ip:src ~dst_ip:dst ~src_port ~dst_port ~seq:f.seq segment)
     in
     (* Successive segments of one message are microseconds apart. *)
-    Psort.push t.sorter (at +. (float_of_int !k *. 2e-6)) frame;
+    Record_sorter.push t.sorter (at +. (float_of_int !k *. 2e-6)) frame;
     f.seq <- (f.seq + len) land 0xFFFFFFFF;
     off := !off + len;
     incr k
@@ -222,7 +150,7 @@ let push t (r : Record.t) =
       send ~at:rt ~src:r.server ~dst:r.client ~sp:nfs_port ~dp:src_port reply_msg
   | _ -> ()
 
-let finish t = Psort.flush t.sorter
+let finish t = Record_sorter.flush t.sorter
 let packets_written t = Nt_obs.Obs.value t.c_written
 let packets_dropped t = (Fault.counts t.injector).dropped
 let faults t = Fault.counts t.injector

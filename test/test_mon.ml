@@ -362,6 +362,25 @@ let test_outstanding_bounded () =
   cki "capped" 4 (Outstanding.outstanding o);
   cki "dropped counted" 6 (Outstanding.dropped o)
 
+let test_outstanding_evicts_first_arrival () =
+  (* Two calls with one expiry fill the tracker; a longer-lived call
+     must evict whichever of them arrived first. *)
+  let evict first second =
+    let o = Outstanding.create ~cap:2 ~timeout:60. () in
+    let client = Ip.v 10 0 0 1 in
+    Outstanding.note o (first ~time:100. ~client ~uid:1 ());
+    Outstanding.note o (second ~time:100. ~client ~uid:1 ());
+    Outstanding.note o (getattr_rec ~lost:true ~time:100. ~client ~uid:1 ());
+    cki "capped" 2 (Outstanding.outstanding o);
+    cki "one eviction" 1 (Outstanding.dropped o);
+    Outstanding.by_proc o
+  in
+  let read = read_rec ~count:10 and write = write_rec ~count:10 ~stable:Types.File_sync in
+  Alcotest.(check (list (pair string int)))
+    "read arrived first" [ ("getattr", 1); ("write", 1) ] (evict read write);
+  Alcotest.(check (list (pair string int)))
+    "write arrived first" [ ("getattr", 1); ("read", 1) ] (evict write read)
+
 (* --- Feed --- *)
 
 let test_feed_of_records () =
@@ -942,6 +961,7 @@ let () =
         [
           Alcotest.test_case "snapshot" `Quick test_outstanding_snapshot;
           Alcotest.test_case "bounded" `Quick test_outstanding_bounded;
+          Alcotest.test_case "evicts first arrival" `Quick test_outstanding_evicts_first_arrival;
         ] );
       ( "feed",
         [

@@ -507,9 +507,7 @@ let tcp_fault_plan_case ~plan ~seed ~base =
         let payload = String.sub message i (min seg_len (String.length message - i)) in
         let seq = (base + i) land 0xFFFFFFFF in
         let at = float_of_int (i / seg_len) *. 0.001 in
-        List.iter
-          (fun (t, bytes) -> timed := (t, seq, bytes) :: !timed)
-          (Fault.apply inj ~time:at payload)
+        Fault.apply inj ~emit:(fun t bytes -> timed := (t, seq, bytes) :: !timed) ~time:at payload
       end)
     message;
   let arrivals =

@@ -90,17 +90,17 @@ let mk_record time : Record.t =
 
 let test_sorter_orders () =
   let out = ref [] in
-  let s = Record_sorter.create ~horizon:10. (fun r -> out := r.Record.time :: !out) in
-  List.iter (fun t -> Record_sorter.push s (mk_record t)) [ 5.; 3.; 8.; 1.; 30. ];
+  let s = Record_sorter.of_records ~horizon:10. (fun r -> out := r.Record.time :: !out) in
+  List.iter (fun t -> Record_sorter.push_record s (mk_record t)) [ 5.; 3.; 8.; 1.; 30. ];
   Record_sorter.flush s;
   Alcotest.(check (list (float 0.))) "sorted output" [ 1.; 3.; 5.; 8.; 30. ] (List.rev !out)
 
 let test_sorter_streams_before_flush () =
   let out = ref [] in
-  let s = Record_sorter.create ~horizon:5. (fun r -> out := r.Record.time :: !out) in
-  Record_sorter.push s (mk_record 1.);
-  Record_sorter.push s (mk_record 2.);
-  Record_sorter.push s (mk_record 100.);
+  let s = Record_sorter.of_records ~horizon:5. (fun r -> out := r.Record.time :: !out) in
+  Record_sorter.push_record s (mk_record 1.);
+  Record_sorter.push_record s (mk_record 2.);
+  Record_sorter.push_record s (mk_record 100.);
   (* 1 and 2 are more than 5s behind 100: released already. *)
   Alcotest.(check int) "early records released" 2 (List.length !out);
   Record_sorter.flush s;
@@ -111,8 +111,8 @@ let prop_sorter_total_order =
     QCheck.(list_of_size Gen.(0 -- 100) (float_range 0. 50.))
     (fun times ->
       let out = ref [] in
-      let s = Record_sorter.create ~horizon:60. (fun r -> out := r.Record.time :: !out) in
-      List.iter (fun t -> Record_sorter.push s (mk_record t)) times;
+      let s = Record_sorter.of_records ~horizon:60. (fun r -> out := r.Record.time :: !out) in
+      List.iter (fun t -> Record_sorter.push_record s (mk_record t)) times;
       Record_sorter.flush s;
       let result = List.rev !out in
       List.length result = List.length times
@@ -536,11 +536,18 @@ let test_readahead_beats_none () =
 
 module Fault = Nt_sim.Fault
 
+(* The injector emits through a sink; these collect into a list. *)
+let apply_one inj ~time data =
+  let out = ref [] in
+  Fault.apply inj ~emit:(fun t bytes -> out := (t, bytes) :: !out) ~time data;
+  List.rev !out
+
 let apply_n inj n =
   let out = ref [] in
+  let emit t bytes = out := (t, bytes) :: !out in
   for i = 0 to n - 1 do
     let data = Printf.sprintf "packet-%06d-%s" i (String.make 60 'p') in
-    out := List.rev_append (Fault.apply inj ~time:(float_of_int i *. 0.001) data) !out
+    Fault.apply inj ~emit ~time:(float_of_int i *. 0.001) data
   done;
   List.rev !out
 
@@ -549,7 +556,7 @@ let test_fault_noop_identity () =
   Alcotest.(check bool) "campus_burst is not" false (Fault.is_noop Fault.campus_burst);
   let inj = Fault.create Fault.none in
   let data = String.make 80 'x' in
-  (match Fault.apply inj ~time:42.5 data with
+  (match apply_one inj ~time:42.5 data with
   | [ (t, bytes) ] ->
       Alcotest.(check (float 0.)) "time untouched" 42.5 t;
       Alcotest.(check string) "bytes untouched" data bytes
@@ -602,11 +609,11 @@ let test_fault_shapes () =
   (* Force each fault with probability 1 and check the output shape. *)
   let data = String.make 100 'q' in
   let trunc = Fault.create { Fault.none with truncate = 1.0; truncate_to = 60 } in
-  (match Fault.apply trunc ~time:0. data with
+  (match apply_one trunc ~time:0. data with
   | [ (_, bytes) ] -> Alcotest.(check int) "snaplen cut" 60 (String.length bytes)
   | _ -> Alcotest.fail "truncate emits one");
   let dup = Fault.create { Fault.none with duplicate = 1.0; duplicate_delay = 0.25 } in
-  (match Fault.apply dup ~time:1. data with
+  (match apply_one dup ~time:1. data with
   | [ (t1, b1); (t2, b2) ] ->
       Alcotest.(check string) "copy 1" data b1;
       Alcotest.(check string) "copy 2" data b2;
@@ -614,13 +621,13 @@ let test_fault_shapes () =
       Alcotest.(check (float 1e-9)) "original time" 1. t1
   | _ -> Alcotest.fail "duplicate emits two");
   let reord = Fault.create { Fault.none with reorder = 1.0; reorder_displace = 0.5 } in
-  (match Fault.apply reord ~time:2. data with
+  (match apply_one reord ~time:2. data with
   | [ (t, _) ] -> Alcotest.(check (float 1e-9)) "displaced" 2.5 t
   | _ -> Alcotest.fail "reorder emits one");
   let corr =
     Fault.create { Fault.none with corrupt = 1.0; corrupt_bytes = 1; corrupt_addrs_only = true }
   in
-  match Fault.apply corr ~time:3. data with
+  match apply_one corr ~time:3. data with
   | [ (_, bytes) ] ->
       Alcotest.(check int) "length preserved" 100 (String.length bytes);
       let diffs = ref [] in
@@ -635,7 +642,7 @@ let test_fault_clock_jitter_bounded () =
   let ok = ref true in
   for i = 0 to 999 do
     let time = float_of_int i in
-    match Fault.apply inj ~time "x" with
+    match apply_one inj ~time "x" with
     | [ (t, _) ] -> if Float.abs (t -. time) > 0.001 then ok := false
     | _ -> ok := false
   done;

@@ -364,6 +364,50 @@ let prop_histogram_total =
       List.iter (Histogram.add h) data;
       abs_float (Histogram.total_weight h -. float_of_int (List.length data)) < 1e-9)
 
+(* --- heap --- *)
+
+module Heap = Nt_util.Heap
+
+(* Interleaved pushes (Some key) and pops (None) over a handful of
+   distinct keys, starting below the growth threshold: every pop must
+   return what a stable sort of the pending entries by key puts first,
+   and the final drain must equal that sort. *)
+let prop_heap_stable_order =
+  QCheck.Test.make ~name:"heap pops in stable-sort order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option (int_range 0 5)))
+    (fun ops ->
+      let h = Heap.create ~capacity:2 ~dummy:(-1) () in
+      (* Pending (key, id) pairs, newest first. *)
+      let pending = ref [] and next = ref 0 and ok = ref true in
+      let sorted () = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !pending) in
+      List.iter
+        (function
+          | Some k ->
+              Heap.push h (float_of_int k) !next;
+              pending := (k, !next) :: !pending;
+              incr next
+          | None -> (
+              match sorted () with
+              | [] -> if Heap.min_key h <> infinity || Heap.pop h <> -1 then ok := false
+              | (k, id) :: _ ->
+                  pending := List.filter (fun (_, i) -> i <> id) !pending;
+                  if Heap.min_key h <> float_of_int k || Heap.pop h <> id then ok := false))
+        ops;
+      let expected = List.map snd (sorted ()) in
+      let drained = List.init (Heap.length h) (fun _ -> Heap.pop h) in
+      !ok && drained = expected && Heap.is_empty h)
+
+let test_heap_empty () =
+  let h = Heap.create ~dummy:"none" () in
+  Alcotest.(check (float 0.)) "min_key of empty" infinity (Heap.min_key h);
+  Alcotest.(check string) "pop of empty is the dummy" "none" (Heap.pop h);
+  Heap.push h 1. "a";
+  Heap.push h 0.5 "b";
+  let seen = ref [] in
+  Heap.iter (fun k v -> seen := (k, v) :: !seen) h;
+  Alcotest.(check (list (pair (float 0.) string)))
+    "iter visits every entry" [ (0.5, "b"); (1., "a") ] (List.sort compare !seen)
+
 let () =
   Alcotest.run "nt_util"
     [
@@ -426,6 +470,11 @@ let () =
           Alcotest.test_case "is peak" `Quick test_is_peak;
           Alcotest.test_case "time_of" `Quick test_time_of;
           Alcotest.test_case "format" `Quick test_format;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "empty and iter" `Quick test_heap_empty;
+          QCheck_alcotest.to_alcotest prop_heap_stable_order;
         ] );
       ( "tables",
         [
