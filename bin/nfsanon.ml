@@ -1,6 +1,7 @@
-(* nfsanon: anonymize a text trace the way the paper's tools do —
+(* nfsanon: anonymize a trace the way the paper's tools do —
    consistent random mappings for names, UIDs, GIDs and addresses, with
-   structural markers preserved.
+   structural markers preserved. Reads any trace source nfsstats does
+   (text or tbin) and writes a text trace.
 
    Example: nfsanon --seed 12345 raw.trace -o anon.trace *)
 
@@ -14,25 +15,22 @@ let run input output seed omit obs_opts =
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsanon" in
-  let anon =
-    Nt_trace.Anonymize.create ~obs ?seed:(Option.map Int64.of_string seed) config
-  in
+  let anon = Nt_trace.Anonymize.create ~obs ?seed config in
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
-  let ic = if input = "-" then stdin else Cli_file.input "nfsanon" input in
   let oc = if output = "-" then stdout else Cli_file.output "nfsanon" output in
   let n = ref 0 in
-  Nt_obs.Obs.with_span obs "anonymize" (fun () ->
-      Seq.iter
-        (fun r ->
-          output_string oc (Nt_trace.Record.to_line (Nt_trace.Anonymize.record anon r));
-          output_char oc '\n';
-          incr n;
-          Nt_obs.Obs.inc c_records;
-          Nt_obs.Sampler.tick sampler;
-          Obs_cli.tick prog ~stage:"anonymize" 1)
-        (Nt_trace.Record.read_channel ic));
-  if input <> "-" then close_in ic;
+  let opened =
+    Nt_obs.Obs.with_span obs "anonymize" (fun () ->
+        Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+            output_string oc (Nt_trace.Record.to_line (Nt_trace.Anonymize.record anon r));
+            output_char oc '\n';
+            incr n;
+            Nt_obs.Obs.inc c_records;
+            Nt_obs.Sampler.tick sampler;
+            Obs_cli.tick prog ~stage:"anonymize" 1))
+  in
   if output <> "-" then close_out oc;
+  Result.iter_error (Cli_file.fail "nfsanon") opened;
   Printf.eprintf "nfsanon: %d records, %d distinct name components mapped\n%!" !n
     (Nt_trace.Anonymize.mapped_names anon);
   Obs_cli.finish prog;
@@ -42,7 +40,12 @@ let run input output seed omit obs_opts =
 
 let input =
   Arg.(
-    required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc:"Input trace (- for stdin).")
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"TRACE"
+        ~doc:
+          "Input trace: a text or tbin path (sniffed), $(b,trace:)PATH or $(b,tbin:)PATH to \
+           force the format, or - for text on stdin.")
 
 let output =
   Arg.(
@@ -51,7 +54,7 @@ let output =
 let seed =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some int64) None
     & info [ "seed" ] ~docv:"INT64"
         ~doc:"Secret mapping seed. Keep it private: publishing it enables known-text attacks.")
 

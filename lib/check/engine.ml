@@ -31,6 +31,7 @@ let default_config =
       [
         "Nt_trace.Capture.create";
         "Nt_trace.Capture.feed_packet";
+        "Nt_trace.Capture.feed_slice";
         "Nt_trace.Capture.feed_pcap";
         "Nt_trace.Capture.finish";
         "Nt_tbin.Tbin.Decoder.*";

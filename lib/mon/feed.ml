@@ -233,11 +233,10 @@ let pcap_tail ?obs path =
   let cap =
     Nt_trace.Capture.create ~obs ~emit:(fun r -> Queue.push (r, Pcap.Decoder.consumed d) queue) ()
   in
+  let packet ~time ~orig_len:_ s ~pos ~len = Nt_trace.Capture.feed_slice cap ~time s ~pos ~len in
   let rec drain () =
-    match Pcap.Decoder.next d with
-    | Pcap.Decoder.Packet p ->
-        Nt_trace.Capture.feed_packet cap ~time:p.time p.data;
-        drain ()
+    match Pcap.Decoder.next_slice d packet with
+    | Pcap.Decoder.Packet () -> drain ()
     | Pcap.Decoder.Await | Pcap.Decoder.End | Pcap.Decoder.Bad _ -> ()
   in
   let feed chunk =

@@ -102,12 +102,29 @@ let header_checksum_ok s =
     else ipv4_checksum s ~pos:14 ~len:ihl = 0
   end
 
-let decode s =
-  let len = String.length s in
+type proto = P_udp | P_tcp
+
+type header = {
+  proto : proto;
+  src_ip : Ip_addr.t;
+  dst_ip : Ip_addr.t;
+  src_port : int;
+  dst_port : int;
+  seq : int;
+  syn : bool;
+  fin : bool;
+  checksum_ok : bool;
+  payload_pos : int;
+  payload_len : int;
+}
+
+(* The one frame parser: header fields and the payload's offset, no
+   copies. [s.[pos]] is the first byte of the Ethernet header. *)
+let parse s ~pos ~len =
   if len < 34 then Error "frame too short"
-  else if get16 s 12 <> ethertype_ipv4 then Error "not IPv4"
+  else if get16 s (pos + 12) <> ethertype_ipv4 then Error "not IPv4"
   else begin
-    let ip = 14 in
+    let ip = pos + 14 in
     let vihl = get8 s ip in
     if vihl lsr 4 <> 4 then Error "not IP version 4"
     else begin
@@ -115,48 +132,61 @@ let decode s =
       if ihl < 20 then Error "bad IP header length"
       else begin
         let total = get16 s (ip + 2) in
-        if ip + total > len || total < ihl then Error "truncated IP packet"
+        if 14 + total > len || total < ihl then Error "truncated IP packet"
         else begin
           let proto = get8 s (ip + 9) in
           let src_ip = get32 s (ip + 12) in
           let dst_ip = get32 s (ip + 16) in
+          let checksum_ok = ipv4_checksum s ~pos:ip ~len:ihl = 0 in
           let tp = ip + ihl in
-          let dst_mac = String.sub s 0 6 in
-          let src_mac = String.sub s 6 6 in
           if proto = proto_udp then begin
             if ip + total - tp < 8 then Error "truncated UDP header"
             else begin
-              let src_port = get16 s tp in
-              let dst_port = get16 s (tp + 2) in
               let udp_len = get16 s (tp + 4) in
               if tp + udp_len > ip + total || udp_len < 8 then Error "bad UDP length"
               else
-                let payload = String.sub s (tp + 8) (udp_len - 8) in
-                Ok { src_mac; dst_mac; src_ip; dst_ip; transport = Udp { src_port; dst_port; payload } }
+                Ok
+                  { proto = P_udp; src_ip; dst_ip; src_port = get16 s tp;
+                    dst_port = get16 s (tp + 2); seq = 0; syn = false; fin = false;
+                    checksum_ok; payload_pos = tp + 8; payload_len = udp_len - 8 }
             end
           end
           else if proto = proto_tcp then begin
             if ip + total - tp < 20 then Error "truncated TCP header"
             else begin
-              let src_port = get16 s tp in
-              let dst_port = get16 s (tp + 2) in
-              let seq = get32 s (tp + 4) in
               let doff = (get8 s (tp + 12) lsr 4) * 4 in
               if doff < 20 || tp + doff > ip + total then Error "bad TCP data offset"
               else begin
                 let flags = get8 s (tp + 13) in
-                let syn = flags land 0x02 <> 0 in
-                let fin = flags land 0x01 <> 0 in
-                let payload = String.sub s (tp + doff) (ip + total - tp - doff) in
                 Ok
-                  { src_mac; dst_mac; src_ip; dst_ip;
-                    transport = Tcp { src_port; dst_port; seq; syn; fin; payload } }
+                  { proto = P_tcp; src_ip; dst_ip; src_port = get16 s tp;
+                    dst_port = get16 s (tp + 2); seq = get32 s (tp + 4);
+                    syn = flags land 0x02 <> 0; fin = flags land 0x01 <> 0; checksum_ok;
+                    payload_pos = tp + doff; payload_len = ip + total - tp - doff }
               end
             end
           end
-          else Error (Printf.sprintf "unsupported IP protocol %d" proto)
+          else Error "unsupported IP protocol"
         end
       end
     end
   end
-[@@nt.alloc_ok "materializes MACs and one payload copy per frame; zero-copy slices are a ROADMAP item"]
+
+let decode s =
+  match parse s ~pos:0 ~len:(String.length s) with
+  | Error _ as e -> e
+  | Ok h ->
+      let payload = String.sub s h.payload_pos h.payload_len in
+      let transport =
+        match h.proto with
+        | P_udp -> Udp { src_port = h.src_port; dst_port = h.dst_port; payload }
+        | P_tcp ->
+            Tcp { src_port = h.src_port; dst_port = h.dst_port; seq = h.seq; syn = h.syn;
+                  fin = h.fin; payload }
+      in
+      Ok
+        { src_mac = String.sub s 6 6; dst_mac = String.sub s 0 6; src_ip = h.src_ip;
+          dst_ip = h.dst_ip; transport }
+[@@nt.alloc_ok
+  "tags only the materializing adapter over parse: MAC and payload copies for callers that keep \
+   a Frame.t"]

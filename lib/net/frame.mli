@@ -33,10 +33,34 @@ val tcp : ?src_mac:string -> ?dst_mac:string -> ?syn:bool -> ?fin:bool -> src_ip
 val encode : t -> string
 (** Full Ethernet frame bytes. *)
 
+type proto = P_udp | P_tcp
+
+type header = {
+  proto : proto;
+  src_ip : Ip_addr.t;
+  dst_ip : Ip_addr.t;
+  src_port : int;
+  dst_port : int;
+  seq : int;  (** TCP sequence number; 0 for UDP *)
+  syn : bool;
+  fin : bool;
+  checksum_ok : bool;  (** the IPv4 header checksum verifies *)
+  payload_pos : int;  (** absolute offset of the transport payload in the parsed string *)
+  payload_len : int;
+}
+(** A parsed frame without copies: the payload is
+    [s.[payload_pos .. payload_pos + payload_len)] of the string given
+    to {!parse}. *)
+
+val parse : string -> pos:int -> len:int -> (header, string) result
+(** The frame parser: reads the frame in [s.[pos .. pos + len)] and
+    allocates only the result. [Error] says why the frame was rejected
+    (non-IPv4 ethertype, truncation, bad header length, unsupported
+    protocol); the capture engine counts and skips rejected frames. *)
+
 val decode : string -> (t, string) result
-(** Parse a frame; [Error] describes why it was rejected (non-IPv4
-    ethertype, truncation, bad header length, unsupported protocol).
-    The capture engine counts and skips rejected frames. *)
+(** {!parse} over a whole string, materialized: MACs and payload are
+    copied out. *)
 
 val ipv4_checksum : string -> pos:int -> len:int -> int
 (** One's-complement checksum over a header region, exposed for tests. *)
@@ -46,4 +70,5 @@ val header_checksum_ok : string -> bool
     the checksum verifies {e or} the frame is not structurally IPv4 (a
     structural failure is {!decode}'s to report); [false] means the
     frame parsed but its header bytes were corrupted in flight — the
-    capture engine counts these separately from undecodable frames. *)
+    capture engine counts these separately from undecodable frames.
+    {!parse} reports the same verdict as [checksum_ok]. *)

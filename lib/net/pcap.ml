@@ -50,8 +50,12 @@ type read_stats = {
    byte offset while salvaging past a corrupt record. *)
 let max_salvage_record = 0x100000
 
+type 'a slice_fn = time:float -> orig_len:int -> string -> pos:int -> len:int -> 'a
+
+let copy_packet ~time ~orig_len s ~pos ~len = { time; orig_len; data = String.sub s pos len }
+
 module Decoder = struct
-  type step = Packet of packet | Await | End | Bad of string
+  type 'a step = Packet of 'a | Await | End | Bad of string
 
   type phase =
     | Global_header  (* expecting the file header at [pos] *)
@@ -220,22 +224,28 @@ module Decoder = struct
       end
     end
 
-  let accept d ~salvaged =
+  (* The decoder's state moves past the record before [f] runs, so
+     [consumed] already counts it when [f]'s callees read it. *)
+  let accept d ~salvaged f =
     let p = d.pos in
     let sec = u32 d p and frac = u32 d (p + 4) and incl = u32 d (p + 8) in
-    let data = Bytes.sub_string d.buf (p + record_header_len) incl in
+    let orig_len = u32 d (p + 12) in
     d.pos <- p + record_header_len + incl;
     d.phase <- Records;
     d.last_sec <- sec;
     Nt_obs.Obs.inc d.c_records;
     if salvaged then Nt_obs.Obs.inc d.c_salvaged;
     let scale = if d.nanosecond then 1e-9 else 1e-6 in
-    Packet
-      { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len = u32 d (p + 12); data }
+    let time = Float.of_int sec +. (Float.of_int frac *. scale) in
+    (* The one place the window escapes as a string. The rule for every
+       slice handed on from here: it is valid only during the callback,
+       since the next feed or refill reuses the window in place, and
+       anything kept past the callback is copied. *)
+    Packet (f ~time ~orig_len (Bytes.unsafe_to_string d.buf) ~pos:(p + record_header_len) ~len:incl)
 
   (* Slide the 16-byte window one byte at a time looking for the next
      plausible record header; every byte slid past is counted. *)
-  let rec scan d =
+  let rec scan d f =
     if d.lim - d.pos <= record_header_len then if d.eof then cut_tail d else Await
     else begin
       d.pos <- d.pos + 1;
@@ -243,9 +253,9 @@ module Decoder = struct
       if plausible d d.pos then begin
         Nt_obs.Obs.inc d.c_resyncs;
         d.phase <- Candidate;
-        candidate d
+        candidate d f
       end
-      else scan d
+      else scan d f
     end
 
   (* A plausible header is taken only when a full payload follows and
@@ -254,19 +264,19 @@ module Decoder = struct
      single header test lets through (byte patterns inside packet
      payloads can parse as headers with large lengths and would swallow
      real records); a rejected candidate resumes the scan one byte on. *)
-  and candidate d =
+  and candidate d f =
     let next = d.pos + record_header_len + u32 d (d.pos + 8) in
     let room = d.lim - next in
     if room < record_header_len && not d.eof then Await
     else if room >= 0 && (room < record_header_len || plausible d next) then
-      accept d ~salvaged:true
-    else rescan d
+      accept d ~salvaged:true f
+    else rescan d f
 
-  and rescan d =
+  and rescan d f =
     d.phase <- Scanning;
-    scan d
+    scan d f
 
-  let record d =
+  let record d f =
     let avail = d.lim - d.pos in
     if avail < record_header_len then
       if not d.eof then Await else if avail > 0 then cut_tail d else End
@@ -275,23 +285,25 @@ module Decoder = struct
       (* without salvage only a length past 64 MiB is absurd *)
       if incl <= 0x4000000 && ((not d.salvage) || plausible d d.pos) then
         if avail < record_header_len + incl then if d.eof then cut_tail d else Await
-        else accept d ~salvaged:false
+        else accept d ~salvaged:false f
       else if not d.salvage then Bad "absurd packet length"
       else begin
         d.damage <- d.damage + 1;
-        rescan d
+        rescan d f
       end
 
-  let rec next d =
+  let rec next_slice d f =
     match d.phase with
-    | Records -> record d
-    | Scanning -> scan d
-    | Candidate -> candidate d
+    | Records -> record d f
+    | Scanning -> scan d f
+    | Candidate -> candidate d f
     | Refused msg ->
         (* nothing of a refused file is decodable: keep the window empty *)
         d.pos <- d.lim;
         Bad msg
-    | Global_header -> ( match global_header d with Some step -> step | None -> next d)
+    | Global_header -> ( match global_header d with Some step -> step | None -> next_slice d f)
+
+  let next d = next_slice d copy_packet
 end
 
 (* A reader drives the decoder to the end of one input, refilling from
@@ -321,14 +333,19 @@ let reader_of_channel ?obs ?salvage ic =
 
 let read_stats r = Decoder.stats r.dec
 
-let rec read_next r =
-  match Decoder.next r.dec with
-  | Decoder.Packet p -> Some p
+(* The reader's one loop: the next packet, as [f] of its slice of the
+   decoder's window. *)
+let rec pull r f =
+  match Decoder.next_slice r.dec f with
+  | Decoder.Packet v -> Some v
   | Decoder.End -> None
   | Decoder.Bad msg -> raise (Bad_format msg)
   | Decoder.Await ->
       Decoder.fill r.dec r.input;
-      read_next r
+      pull r f
+
+let rec iter r f = match pull r f with Some () -> iter r f | None -> ()
+let read_next r = pull r copy_packet
 
 let packets r =
   let rec next () = match read_next r with None -> Seq.Nil | Some p -> Seq.Cons (p, next) in

@@ -34,19 +34,26 @@ type read_stats = {
   truncated_tail : bool;  (** the capture ended mid-record *)
 }
 
+type 'a slice_fn = time:float -> orig_len:int -> string -> pos:int -> len:int -> 'a
+(** Receives one packet as a slice: its captured bytes are
+    [s.[pos .. pos + len)] of the decoder's window. {b The slice is valid
+    only during the call}: the window is reused in place by the next
+    feed or refill, so anything kept past the call must be copied. *)
+
 module Decoder : sig
   (** Feed byte chunks of any size, pull packets. Bytes land in one
-      window, compacted or grown as it refills, so a packet's [data] is
-      the only allocation per record. Only after {!finish} does a
-      record cut by the end of input count as a truncated tail. With
-      salvage, a corrupt record header is scanned past one byte at a
-      time to the next plausible header (lengths within 1 MiB) whose
-      payload ends at another one or at the end of input. *)
+      window, compacted or grown as it refills, and packets are handed
+      out as slices of it, so nothing is copied per record. Only after
+      {!finish} does a record cut by the end of input count as a
+      truncated tail. With salvage, a corrupt record header is scanned
+      past one byte at a time to the next plausible header (lengths
+      within 1 MiB) whose payload ends at another one or at the end of
+      input. *)
 
   type t
 
-  type step =
-    | Packet of packet
+  type 'a step =
+    | Packet of 'a  (** the slice function's result for the next packet *)
     | Await  (** more bytes are needed *)
     | End  (** end of input, after {!finish} *)
     | Bad of string  (** bad global header (sticky), or corrupt record without salvage *)
@@ -57,7 +64,14 @@ module Decoder : sig
 
   val feed : t -> string -> unit
   val finish : t -> unit
-  val next : t -> step
+
+  val next_slice : t -> 'a slice_fn -> 'a step
+  (** The decoder's one parser: the next packet is passed to the slice
+      function, whose result is returned as [Packet]. The decoder has
+      already moved past the record when the function runs. *)
+
+  val next : t -> packet step
+  (** {!next_slice} with the packet copied out. *)
 
   val reset_at : t -> int64 -> unit
   (** Expect a global header again (feed the file from 0), then jump
@@ -85,11 +99,16 @@ val reader_of_channel : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> in_channel -> read
     a months-long capture with a few mangled records is still mostly
     analyzable (§4.1.4). *)
 
+val iter : reader -> unit slice_fn -> unit
+(** Pass every remaining packet to the slice function, to the end of
+    input. A final record cut off by EOF ends the stream, with
+    [truncated_tail] set in {!read_stats} rather than an exception. In
+    non-salvage mode a corrupt record header raises {!Bad_format}; in
+    salvage mode it resyncs. *)
+
 val read_next : reader -> packet option
-(** [None] at end of file. A final record cut off by EOF also yields
-    [None], with [truncated_tail] set in {!read_stats} rather than an
-    exception. In non-salvage mode a corrupt record header raises
-    {!Bad_format}; in salvage mode it resyncs. *)
+(** The next packet copied out, as {!iter} would see it; [None] at end
+    of file. *)
 
 val read_stats : reader -> read_stats
 (** Loss accounting for everything read so far. *)

@@ -24,10 +24,27 @@ val create : ?max_buffered_segments:int -> unit -> t
     per flow; when exceeded, the reassembler declares a gap and resyncs
     at the earliest buffered segment. *)
 
+val feed :
+  t ->
+  flow ->
+  seq:int ->
+  syn:bool ->
+  string ->
+  pos:int ->
+  len:int ->
+  data:(string -> pos:int -> len:int -> unit) ->
+  gap:(int -> unit) ->
+  unit
+(** Feed one segment, the slice [s.[pos .. pos + len)], and deliver the
+    in-order events it unlocks, in stream order: [data] for the next
+    in-order bytes, [gap n] for about [n] lost bytes. In-order bytes
+    are handed on as a slice of [s] (valid only during the call); only
+    a segment held out of order is copied. A SYN consumes one sequence
+    number and establishes the initial sequence number for the flow. *)
+
 val push : t -> flow -> seq:int -> syn:bool -> string -> event list
-(** Feed one segment; returns the in-order events it unlocked. A SYN
-    consumes one sequence number and establishes the initial sequence
-    number for the flow. *)
+(** {!feed} over a whole string, with the events collected and each
+    [Data] copied out. *)
 
 val flows : t -> int
 (** Number of distinct flows seen. *)

@@ -243,8 +243,7 @@ let decode_call ~proc d : Ops.call =
       let offset = D.uint64 d in
       let count = D.uint32 d in
       let stable = Types.stable_how_of_int (D.uint32 d) in
-      let data = D.opaque d in
-      ignore (String.length data);
+      ignore (D.skip_opaque d : int);
       Write { fh; offset; count; stable }
   | Create -> (
       let dir = decode_fh d in
@@ -495,8 +494,7 @@ let decode_result ~proc d : Ops.result =
       let attr = decode_post_op_attr d in
       let count = D.uint32 d in
       let eof = D.bool d in
-      let data = D.opaque d in
-      ignore (String.length data);
+      ignore (D.skip_opaque d : int);
       Ok (R_read { attr; count; eof })
   | Ok_, Write ->
       let attr = decode_wcc_data d in

@@ -23,48 +23,79 @@ let frame_fragmented ~fragment_size msg =
   if n = 0 then Buffer.add_string buf (header ~last:true 0) else go 0;
   Buffer.contents buf
 
+(* No sane NFS message exceeds 1 MB: a longer fragment header means we
+   are desynchronised (e.g. the capture port dropped a segment
+   mid-record). *)
+let max_fragment = 0x100000
+
+(* An incremental header/fragment state machine. Each stream byte is
+   looked at once: header bytes accumulate in [header], fragment bytes
+   are appended to [record] unless the whole record arrives in one
+   chunk, in which case it is handed on as a slice of that chunk. *)
 type reassembler = {
-  stream : Buffer.t;  (* unconsumed stream bytes *)
-  record : Buffer.t;  (* fragments of the record in progress *)
+  mutable header : int;  (* header bytes gathered so far, big-endian *)
+  mutable have : int;  (* how many of the 4 header bytes are in [header] *)
+  mutable left : int;  (* bytes of the current fragment still to come; -1 while reading a header *)
+  mutable last : bool;  (* the current fragment ends its record *)
+  record : Buffer.t;  (* the record in progress, when it spans chunks or fragments *)
 }
 
-let create_reassembler () = { stream = Buffer.create 4096; record = Buffer.create 4096 }
+let create_reassembler () =
+  { header = 0; have = 0; left = -1; last = false; record = Buffer.create 4096 }
 
-let pending_bytes t = Buffer.length t.stream + Buffer.length t.record
+let pending_bytes t = Buffer.length t.record + if t.left < 0 then t.have else 4
+
+let start_fragment t hdr =
+  let len = hdr land 0x7FFFFFFF in
+  if len > max_fragment then
+    (* All XDR/RPC boundaries are 4-aligned, so scan forward a word at
+       a time until a plausible header reappears. *)
+    Buffer.clear t.record
+  else begin
+    t.last <- hdr land 0x80000000 <> 0;
+    t.left <- len
+  end
+
+let rec step t s p stop emit =
+  if t.left = 0 then begin
+    t.left <- -1;
+    if t.last then begin
+      let r = Buffer.contents t.record in
+      Buffer.clear t.record;
+      emit r ~pos:0 ~len:(String.length r)
+    end;
+    step t s p stop emit
+  end
+  else if p < stop then
+    if t.left < 0 then begin
+      t.header <- (t.header lsl 8) lor Char.code s.[p];
+      t.have <- t.have + 1;
+      if t.have = 4 then begin
+        let hdr = t.header in
+        t.header <- 0;
+        t.have <- 0;
+        start_fragment t hdr
+      end;
+      step t s (p + 1) stop emit
+    end
+    else if t.last && Buffer.length t.record = 0 && t.left <= stop - p then begin
+      (* The whole record is in this chunk: no copy. *)
+      let len = t.left in
+      t.left <- -1;
+      emit s ~pos:p ~len;
+      step t s (p + len) stop emit
+    end
+    else begin
+      let n = min t.left (stop - p) in
+      Buffer.add_substring t.record s p n;
+      t.left <- t.left - n;
+      step t s (p + n) stop emit
+    end
+
+let feed t s ~pos ~len emit = step t s pos (pos + len) emit
 
 let push t bytes =
-  Buffer.add_string t.stream bytes;
-  let data = Buffer.contents t.stream in
-  let n = String.length data in
-  let completed = ref [] in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if n - !pos < 4 then continue := false
-    else begin
-      let b i = Char.code data.[!pos + i] in
-      let hdr = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      let last = hdr land 0x80000000 <> 0 in
-      let len = hdr land 0x7FFFFFFF in
-      if len > 0x100000 then begin
-        (* No sane NFS message exceeds 1 MB: we are desynchronised
-           (e.g. the capture port dropped a segment mid-record). All
-           XDR/RPC boundaries are 4-aligned, so scan forward a word at
-           a time until a plausible header reappears. *)
-        Buffer.clear t.record;
-        pos := !pos + 4
-      end
-      else if n - !pos - 4 < len then continue := false
-      else begin
-        Buffer.add_substring t.record data (!pos + 4) len;
-        pos := !pos + 4 + len;
-        if last then begin
-          completed := Buffer.contents t.record :: !completed;
-          Buffer.clear t.record
-        end
-      end
-    end
-  done;
-  Buffer.clear t.stream;
-  if !pos < n then Buffer.add_substring t.stream data !pos (n - !pos);
-  List.rev !completed
+  let records = ref [] in
+  feed t bytes ~pos:0 ~len:(String.length bytes) (fun s ~pos ~len ->
+      records := String.sub s pos len :: !records);
+  List.rev !records

@@ -18,9 +18,20 @@ type reassembler
 
 val create_reassembler : unit -> reassembler
 
+val feed :
+  reassembler -> string -> pos:int -> len:int -> (string -> pos:int -> len:int -> unit) -> unit
+(** [feed t s ~pos ~len emit] takes the stream bytes [s.[pos .. pos + len)]
+    in arrival order and calls [emit] with each RPC record they complete
+    (possibly several, possibly none), as a slice. A record that lies
+    whole in this chunk is a slice of [s], valid only during the call;
+    one that spans chunks or fragments is assembled once and handed on
+    fresh. A fragment header claiming more than 1 MiB means the stream
+    is desynchronised: the partial record is dropped and the scan moves
+    on one 4-byte word. *)
+
 val push : reassembler -> string -> string list
-(** Feed stream bytes in arrival order; returns the complete RPC records
-    finished by these bytes (possibly several, possibly none). *)
+(** {!feed} over a whole string, with the records collected and copied
+    out. *)
 
 val pending_bytes : reassembler -> int
 (** Bytes buffered waiting for the rest of a record; useful for loss

@@ -187,18 +187,21 @@ let creds = function
   | Rpc.Auth_unix { uid; gid; _ } -> (uid, gid)
   | Rpc.Auth_null | Rpc.Auth_other _ -> (0, 0)
 
-let decode_call_body ~version ~proc msg body_pos =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos msg in
+(* The body runs from [body_pos] to the end of the message slice. *)
+let decode_call_body ~version ~proc msg ~pos ~len body_pos =
+  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(pos + len - body_pos) msg in
   if version = 2 then Nt_nfs.V2.decode_call ~proc d else Nt_nfs.V3.decode_call ~proc d
 
-let decode_result_body ~version ~proc msg body_pos =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos msg in
+let decode_result_body ~version ~proc msg ~pos ~len body_pos =
+  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(pos + len - body_pos) msg in
   if version = 2 then Nt_nfs.V2.decode_result ~proc d else Nt_nfs.V3.decode_result ~proc d
 
-(* Handle one complete RPC message travelling from [src] to [dst]. *)
-let handle_rpc t ~time ~src ~dst msg =
+(* Handle one complete RPC message, [msg.[pos .. pos + len)], travelling
+   from [src] to [dst]. The slice may alias the pcap window: everything
+   a pending call or a record keeps is a decoded copy. *)
+let handle_rpc t ~time ~src ~dst msg ~pos ~len =
   Obs.inc t.c_rpc_messages;
-  match Rpc.decode msg ~pos:0 ~len:(String.length msg) with
+  match Rpc.decode msg ~pos ~len with
   | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
   | Rpc.Call c, body_pos ->
       if c.prog <> Rpc.nfs_program then Obs.inc t.c_non_nfs
@@ -211,7 +214,7 @@ let handle_rpc t ~time ~src ~dst msg =
         match Proc.of_number ~version:c.vers c.proc with
         | None -> Obs.inc t.c_rpc_errors
         | Some proc -> (
-            match decode_call_body ~version:c.vers ~proc msg body_pos with
+            match decode_call_body ~version:c.vers ~proc msg ~pos ~len body_pos with
             | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
             | exception Nt_nfs.V2.Unsupported _ -> Obs.inc t.c_rpc_errors
             | exception Nt_nfs.V3.Unsupported _ -> Obs.inc t.c_rpc_errors
@@ -244,7 +247,9 @@ let handle_rpc t ~time ~src ~dst msg =
           let result =
             match r.status with
             | Rpc.Accepted Rpc.Success -> (
-                match decode_result_body ~version:p.p_version ~proc:p.p_proc msg body_pos with
+                match
+                  decode_result_body ~version:p.p_version ~proc:p.p_proc msg ~pos ~len body_pos
+                with
                 | exception Nt_xdr.Decode.Error _ ->
                     Obs.inc t.c_rpc_errors;
                     None
@@ -276,8 +281,8 @@ let handle_rpc t ~time ~src ~dst msg =
    input with their own exceptions, but hostile bytes could in principle
    reach a stdlib primitive first. Anything escaping here is an input
    problem, not a caller problem, so it lands in rpc_errors. *)
-let handle_rpc t ~time ~src ~dst msg =
-  match handle_rpc t ~time ~src ~dst msg with
+let handle_rpc t ~time ~src ~dst msg ~pos ~len =
+  match handle_rpc t ~time ~src ~dst msg ~pos ~len with
   | () -> ()
   | exception (Nt_xdr.Decode.Error _ | Invalid_argument _ | Failure _ | Not_found) ->
       Obs.inc t.c_rpc_errors
@@ -290,42 +295,40 @@ let rm_for t flow =
       Flow_tbl.add t.rm flow rm;
       rm
 
-let feed_packet t ~time data =
+(* The one frame path: every layer below reads slices of [s], and only
+   TCP segments held out of order and records spanning segments are
+   copied. *)
+let feed_slice t ~time s ~pos ~len =
   Obs.inc t.c_frames;
-  match Frame.decode data with
+  match Frame.parse s ~pos ~len with
   | Error _ -> Obs.inc t.c_undecodable
-  | Ok _ when not (Frame.header_checksum_ok data) ->
+  | Ok h when not h.checksum_ok ->
       (* Structurally sound but damaged in flight: never trust it. *)
       Obs.inc t.c_corrupt
-  | Ok frame -> (
-      match frame.transport with
-      | Frame.Udp { payload; _ } ->
-          if String.length payload >= 16 then
-            handle_rpc t ~time ~src:frame.src_ip ~dst:frame.dst_ip payload
+  | Ok h -> (
+      let src = h.src_ip and dst = h.dst_ip in
+      match h.proto with
+      | Frame.P_udp ->
+          if h.payload_len >= 16 then
+            handle_rpc t ~time ~src ~dst s ~pos:h.payload_pos ~len:h.payload_len
           else Obs.inc t.c_undecodable
-      | Frame.Tcp { src_port; dst_port; seq; syn; payload; fin = _ } ->
+      | Frame.P_tcp ->
           let flow =
-            { Tcp.src_ip = frame.src_ip; src_port; dst_ip = frame.dst_ip; dst_port }
+            { Tcp.src_ip = src; src_port = h.src_port; dst_ip = dst; dst_port = h.dst_port }
           in
-          let events = Tcp.push t.tcp flow ~seq ~syn payload in
-          List.iter
-            (fun ev ->
-              match ev with
-              | Tcp.Data bytes ->
-                  let rm = rm_for t flow in
-                  let records = Rm.push rm bytes in
-                  List.iter
-                    (fun msg -> handle_rpc t ~time ~src:frame.src_ip ~dst:frame.dst_ip msg)
-                    records
-              | Tcp.Gap _ ->
-                  Obs.inc t.c_tcp_gaps;
-                  (* The stream resynchronised past a hole; any partial
-                     RPC record is unrecoverable. Start clean. *)
-                  Flow_tbl.replace t.rm flow (Rm.create_reassembler ()))
-            events)
+          Tcp.feed t.tcp flow ~seq:h.seq ~syn:h.syn s ~pos:h.payload_pos ~len:h.payload_len
+            ~data:(fun bytes ~pos ~len ->
+              Rm.feed (rm_for t flow) bytes ~pos ~len (handle_rpc t ~time ~src ~dst))
+            ~gap:(fun _ ->
+              Obs.inc t.c_tcp_gaps;
+              (* The stream resynchronised past a hole; any partial
+                 RPC record is unrecoverable. Start clean. *)
+              Flow_tbl.replace t.rm flow (Rm.create_reassembler ())))
+
+let feed_packet t ~time data = feed_slice t ~time data ~pos:0 ~len:(String.length data)
 
 let feed_pcap t reader =
-  Seq.iter (fun (p : Pcap.packet) -> feed_packet t ~time:p.time p.data) (Pcap.packets reader);
+  Pcap.iter reader (fun ~time ~orig_len:_ s ~pos ~len -> feed_slice t ~time s ~pos ~len);
   let rs = Pcap.read_stats reader in
   t.salvaged_records <- t.salvaged_records + rs.salvaged;
   t.skipped_pcap_bytes <- t.skipped_pcap_bytes + rs.skipped_bytes;

@@ -51,14 +51,21 @@ val create :
     the capture engine to get a single self-consistent snapshot — the
     namespaces are disjoint, so nothing double-counts. *)
 
-val feed_packet : t -> time:float -> string -> unit
-(** Process one link-layer frame. Never raises: malformed input is
-    counted in {!stats}. The contract is fuzz-verified (random and
+val feed_slice : t -> time:float -> string -> pos:int -> len:int -> unit
+(** Process one link-layer frame, [s.[pos .. pos + len)], without
+    copying it: each layer below reads slices of [s]. Nothing emitted
+    aliases [s], so the caller may reuse its bytes once the call
+    returns (see {!Nt_net.Pcap.slice_fn}). Never raises: malformed input
+    is counted in {!stats}. The contract is fuzz-verified (random and
     bit-flipped frames in the test suite). *)
 
+val feed_packet : t -> time:float -> string -> unit
+(** {!feed_slice} over a whole string. *)
+
 val feed_pcap : t -> Nt_net.Pcap.reader -> unit
-(** Drain a pcap stream through {!feed_packet}, then fold the reader's
-    salvage/truncation accounting into {!stats}. *)
+(** Drain a pcap stream through {!feed_slice}, each packet a slice of
+    the reader's window, then fold the reader's salvage/truncation
+    accounting into {!stats}. *)
 
 val finish : t -> stats * Record.t list
 (** Flush unanswered calls, then return statistics and all buffered

@@ -51,10 +51,19 @@ let fixed_opaque t n =
   s
 [@@nt.alloc_ok "materializes the decoded opaque; the copy is the decoded value"]
 
-let opaque t =
+let opaque_length t =
   let n = uint32 t in
   if n > remaining t then raise (Error (Printf.sprintf "opaque length %d exceeds window" n));
-  fixed_opaque t n
+  n
+
+let opaque t = fixed_opaque t (opaque_length t)
+
+let skip_opaque t =
+  let n = opaque_length t in
+  let padded = n + ((4 - (n mod 4)) mod 4) in
+  need t padded;
+  t.cursor <- t.cursor + padded;
+  n
 
 let string = opaque
 

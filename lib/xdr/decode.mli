@@ -31,6 +31,12 @@ val opaque : t -> string
 (** Length-prefixed opaque. Raises {!Error} if the length exceeds the
     remaining window (corrupt or truncated message). *)
 
+val skip_opaque : t -> int
+(** Length-prefixed opaque, skipped: the same length, window and
+    padding checks as {!opaque}, but only the length is returned and
+    nothing is copied. For payloads the trace never keeps (READ and
+    WRITE data). *)
+
 val string : t -> string
 
 val array : t -> (t -> 'a) -> 'a list

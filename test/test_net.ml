@@ -95,6 +95,48 @@ let test_mac_fields () =
       Alcotest.(check string) "dst mac" "\x02\x00\x00\x00\x00\x0B" f'.dst_mac
   | Error e -> Alcotest.fail e
 
+(* [Frame.parse] reads a frame anywhere in a string: embedded at an
+   offset between junk, it must report what [decode] materializes. *)
+let test_parse_slice_agrees () =
+  let frames =
+    [
+      Frame.udp ~src_ip:ip1 ~dst_ip:ip2 ~src_port:700 ~dst_port:2049 "payload-bytes";
+      Frame.tcp ~syn:true ~fin:true ~src_ip:ip2 ~dst_ip:ip1 ~src_port:1023 ~dst_port:2049
+        ~seq:0xFFFFFFF0 (String.make 9000 'J');
+      Frame.udp ~src_ip:ip1 ~dst_ip:ip2 ~src_port:5 ~dst_port:6 "";
+    ]
+  in
+  List.iter
+    (fun f ->
+      let raw = Frame.encode f in
+      let s = "junk!" ^ raw ^ "more junk" in
+      match (Frame.parse s ~pos:5 ~len:(String.length raw), Frame.decode raw) with
+      | Ok h, Ok d ->
+          Alcotest.(check int) "src ip" d.src_ip h.src_ip;
+          Alcotest.(check int) "dst ip" d.dst_ip h.dst_ip;
+          Alcotest.(check bool) "checksum" (Frame.header_checksum_ok raw) h.checksum_ok;
+          let payload = String.sub s h.payload_pos h.payload_len in
+          (match (h.proto, d.transport) with
+          | Frame.P_udp, Frame.Udp u ->
+              Alcotest.(check (pair int int)) "ports" (u.src_port, u.dst_port)
+                (h.src_port, h.dst_port);
+              Alcotest.(check string) "payload" u.payload payload
+          | Frame.P_tcp, Frame.Tcp t ->
+              Alcotest.(check (pair int int)) "ports" (t.src_port, t.dst_port)
+                (h.src_port, h.dst_port);
+              Alcotest.(check (triple int bool bool)) "seq, syn, fin" (t.seq, t.syn, t.fin)
+                (h.seq, h.syn, h.fin);
+              Alcotest.(check string) "payload" t.payload payload
+          | _ -> Alcotest.fail "transport differs")
+      | _ -> Alcotest.fail "parse and decode disagree")
+    frames;
+  (* a damaged header: parsed, but its checksum no longer verifies *)
+  let raw = Bytes.of_string (Frame.encode (List.hd frames)) in
+  Bytes.set raw 22 '\x01' (* TTL *);
+  match Frame.parse (Bytes.to_string raw) ~pos:0 ~len:(Bytes.length raw) with
+  | Ok h -> Alcotest.(check bool) "damaged header caught" false h.checksum_ok
+  | Error _ -> Alcotest.fail "TTL damage is not structural"
+
 (* --- pcap --- *)
 
 let test_pcap_roundtrip () =
@@ -305,10 +347,25 @@ let via_bytes ~salvage s =
       in
       step ())
 
+(* The slice path, copying each packet out inside the callback. *)
+let via_iter ~salvage s =
+  let r = Pcap.reader_of_string ~salvage s in
+  let acc = ref [] in
+  let copy ~time ~orig_len s ~pos ~len =
+    acc := { Pcap.time; orig_len; data = String.sub s pos len } :: !acc
+  in
+  let ending =
+    match Pcap.iter r copy with
+    | () -> Ok (Pcap.read_stats r)
+    | exception Pcap.Bad_format msg -> Error msg
+  in
+  (List.rev !acc, ending)
+
 let check_sources_agree ~salvage name s =
   let reference = via_string ~salvage s in
   if via_channel ~salvage s <> reference then Alcotest.failf "%s: channel differs from string" name;
   if via_bytes ~salvage s <> reference then Alcotest.failf "%s: 1-byte feeding differs" name;
+  if via_iter ~salvage s <> reference then Alcotest.failf "%s: slices differ from copies" name;
   reference
 
 let test_pcap_salvage_double_validates () =
@@ -491,75 +548,144 @@ let test_tcp_retransmission_wraparound () =
   Alcotest.(check string) "overlap trimmed across wrap" "abcd" (collect out2);
   Alcotest.(check int) "no gaps declared" 0 (Tcp.gaps t)
 
-(* Drive segments through a Fault plan (duplication, displacement,
-   bursty drop) and check the reassembler's contract: every Data event
-   carries exactly the original bytes at the stream position implied by
-   the Data/Gap sequence — degraded input, gap-accounted output. *)
-let tcp_fault_plan_case ~plan ~seed ~base =
+(* A 960-byte message cut into 16-byte segments and driven through a
+   Fault plan (duplication, displacement, bursty drop): the SYN, then
+   the surviving segments in arrival order, with the injector's
+   counts. *)
+let fault_message = String.init 960 (fun i -> Char.chr (32 + (i mod 95)))
+
+let fault_arrivals ~plan ~seed ~base =
   let module Fault = Nt_sim.Fault in
-  let message = String.init 960 (fun i -> Char.chr (32 + (i mod 95))) in
-  let seg_len = 16 in
   let inj = Fault.create ~seed plan in
   let timed = ref [] in
-  String.iteri
-    (fun i _ ->
-      if i mod seg_len = 0 then begin
-        let payload = String.sub message i (min seg_len (String.length message - i)) in
-        let seq = (base + i) land 0xFFFFFFFF in
-        let at = float_of_int (i / seg_len) *. 0.001 in
-        Fault.apply inj ~emit:(fun t bytes -> timed := (t, seq, bytes) :: !timed) ~time:at payload
-      end)
-    message;
+  for k = 0 to (960 / 16) - 1 do
+    let seq = (base + (16 * k)) land 0xFFFFFFFF in
+    Fault.apply inj
+      ~emit:(fun t bytes -> timed := (t, seq, bytes) :: !timed)
+      ~time:(float_of_int k *. 0.001) (String.sub fault_message (16 * k) 16)
+  done;
   let arrivals =
     List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) (List.rev !timed)
   in
+  ( Fault.counts inj,
+    ((base - 1) land 0xFFFFFFFF, true, "")
+    :: List.map (fun (_, seq, bytes) -> (seq, false, bytes)) arrivals )
+
+(* The reassembler's contract under a fault plan: every Data event
+   carries exactly the original bytes at the stream position implied
+   by the Data/Gap sequence — degraded input, gap-accounted output. *)
+let tcp_fault_plan_case ~plan ~seed ~base =
+  let counts, segments = fault_arrivals ~plan ~seed ~base in
   let t = Tcp.create ~max_buffered_segments:4 () in
-  ignore (Tcp.push t flow ~seq:((base - 1) land 0xFFFFFFFF) ~syn:true "");
   let pos = ref 0 in
   List.iter
-    (fun (_, seq, payload) ->
+    (fun (seq, syn, payload) ->
       List.iter
         (function
           | Tcp.Data d ->
-              let expected = String.sub message !pos (String.length d) in
+              let expected = String.sub fault_message !pos (String.length d) in
               Alcotest.(check string) "in-order bytes" expected d;
               pos := !pos + String.length d
           | Tcp.Gap g ->
               Alcotest.(check bool) "gap positive" true (g > 0);
               pos := !pos + g)
-        (Tcp.push t flow ~seq ~syn:false payload))
-    arrivals;
-  let counts = Fault.counts inj in
+        (Tcp.push t flow ~seq ~syn payload))
+    segments;
   (counts, Tcp.gaps t, !pos)
 
+(* Duplication + displacement only: everything is recoverable. *)
+let dup_reorder_plan =
+  { Nt_sim.Fault.none with duplicate = 0.3; reorder = 0.15; reorder_displace = 0.0021 }
+
+(* Bursty loss on top: holes become gaps. *)
+let burst_loss_plan =
+  {
+    Nt_sim.Fault.none with
+    drop =
+      Nt_sim.Fault.Gilbert_elliott { p_gb = 0.05; p_bg = 0.3; loss_good = 0.01; loss_bad = 0.7 };
+    duplicate = 0.2;
+    reorder = 0.1;
+    reorder_displace = 0.0021;
+  }
+
 let test_tcp_fault_duplication_reorder () =
-  (* Duplication + displacement only: everything is recoverable, so the
-     full message must come out with zero gaps, across the seq wrap. *)
-  let module Fault = Nt_sim.Fault in
-  let plan = { Fault.none with duplicate = 0.3; reorder = 0.15; reorder_displace = 0.0021 } in
-  let counts, gaps, pos = tcp_fault_plan_case ~plan ~seed:11L ~base:0xFFFFFE00 in
+  (* The full message must come out with zero gaps, across the seq wrap. *)
+  let counts, gaps, pos =
+    tcp_fault_plan_case ~plan:dup_reorder_plan ~seed:11L ~base:0xFFFFFE00
+  in
   Alcotest.(check bool) "duplicates injected" true (counts.duplicated > 0);
   Alcotest.(check bool) "reorders injected" true (counts.reordered > 0);
   Alcotest.(check int) "no gaps" 0 gaps;
   Alcotest.(check int) "whole stream delivered" 960 pos
 
 let test_tcp_fault_burst_loss_gap_accounted () =
-  (* Add bursty loss: holes must be declared as gaps whose sizes keep
-     the stream position honest (checked inside the driver). *)
-  let module Fault = Nt_sim.Fault in
-  let plan =
-    {
-      Fault.none with
-      drop = Fault.Gilbert_elliott { p_gb = 0.05; p_bg = 0.3; loss_good = 0.01; loss_bad = 0.7 };
-      duplicate = 0.2;
-      reorder = 0.1;
-      reorder_displace = 0.0021;
-    }
-  in
-  let counts, gaps, pos = tcp_fault_plan_case ~plan ~seed:7L ~base:0xFFFFFE80 in
+  (* Holes must be declared as gaps whose sizes keep the stream position
+     honest (checked in tcp_fault_plan_case). *)
+  let counts, gaps, pos = tcp_fault_plan_case ~plan:burst_loss_plan ~seed:7L ~base:0xFFFFFE80 in
   Alcotest.(check bool) "packets dropped" true (counts.dropped > 0);
   Alcotest.(check bool) "gaps declared" true (gaps > 0);
   Alcotest.(check bool) "position within stream" true (pos <= 960)
+
+(* [feed] must deliver what [push] returns, event for event, with each
+   segment handed in as a slice of a larger string. Scenarios: the cases
+   above (reorder, overlap, duplicates, SYN, gap resync, the seq wrap)
+   and the two fault-plan arrival orders. *)
+let feed_events t flow ~seq ~syn payload =
+  let s = "<<" ^ payload ^ ">>>" in
+  let events = ref [] and aliased = ref 0 in
+  Tcp.feed t flow ~seq ~syn s ~pos:2 ~len:(String.length payload)
+    ~data:(fun b ~pos ~len ->
+      if b == s then incr aliased;
+      events := Tcp.Data (String.sub b pos len) :: !events)
+    ~gap:(fun n -> events := Tcp.Gap n :: !events);
+  (List.rev !events, !aliased)
+
+let test_tcp_feed_equals_push () =
+  let scenarios =
+    [
+      ("out of order", 64, [ (99, true, ""); (106, false, "world"); (100, false, "hello ") ]);
+      ("duplicate", 64, [ (0, false, "abcd"); (0, false, "abcd") ]);
+      ("overlap", 64, [ (0, false, "abcd"); (2, false, "cdEF"); (1, false, "bcdEFG") ]);
+      ("syn", 64, [ (999, true, ""); (1000, false, "after-syn"); (1000, false, "") ]);
+      ( "gap resync",
+        4,
+        (0, false, "start") :: List.init 6 (fun i -> (100 + (i * 4), false, "wxyz")) );
+      ("seq wrap", 64, [ (0xFFFFFFFE, false, "ab"); (0, false, "cd") ]);
+      ( "retransmission across wrap",
+        64,
+        [
+          (0xFFFFFFF7, true, ""); (0xFFFFFFF8, false, "12345678"); (0xFFFFFFF8, false, "12345678");
+          (0xFFFFFFFC, false, "5678abcd");
+        ] );
+      ( "held segments straddle the wrap",
+        64,
+        [ (0xFFFFFFF0, false, "0123"); (0xFFFFFFF8, false, "89ab"); (0xFFFFFFFC, false, "cdef");
+          (0, false, "ghij"); (0xFFFFFFF4, false, "4567") ] );
+      ( "fault plan: duplication+reorder",
+        4,
+        snd (fault_arrivals ~plan:dup_reorder_plan ~seed:11L ~base:0xFFFFFE00) );
+      ( "fault plan: burst loss",
+        4,
+        snd (fault_arrivals ~plan:burst_loss_plan ~seed:7L ~base:0xFFFFFE80) );
+    ]
+  in
+  List.iter
+    (fun (name, max_buffered_segments, segments) ->
+      let by_push = Tcp.create ~max_buffered_segments () in
+      let by_feed = Tcp.create ~max_buffered_segments () in
+      let aliased = ref 0 and data = ref 0 in
+      List.iteri
+        (fun i (seq, syn, payload) ->
+          let expected = Tcp.push by_push flow ~seq ~syn payload in
+          let got, a = feed_events by_feed flow ~seq ~syn payload in
+          aliased := !aliased + a;
+          data := !data + List.length (List.filter (function Tcp.Data _ -> true | _ -> false) got);
+          if got <> expected then Alcotest.failf "%s: segment %d events differ" name i)
+        segments;
+      Alcotest.(check int) (name ^ ": gaps") (Tcp.gaps by_push) (Tcp.gaps by_feed);
+      if !data > 0 && !aliased = 0 then
+        Alcotest.failf "%s: no in-order bytes were passed through as a slice" name)
+    scenarios
 
 let prop_tcp_shuffled_segments =
   QCheck.Test.make ~name:"reassembly restores shuffled segments" ~count:200
@@ -613,6 +739,7 @@ let () =
           Alcotest.test_case "checksum" `Quick test_checksum_valid;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "mac fields" `Quick test_mac_fields;
+          Alcotest.test_case "parse slice agrees with decode" `Quick test_parse_slice_agrees;
         ] );
       ( "pcap",
         [
@@ -651,6 +778,7 @@ let () =
             test_tcp_fault_duplication_reorder;
           Alcotest.test_case "fault plan: burst loss gap-accounted" `Quick
             test_tcp_fault_burst_loss_gap_accounted;
+          Alcotest.test_case "feed slices equal push" `Quick test_tcp_feed_equals_push;
           QCheck_alcotest.to_alcotest prop_tcp_shuffled_segments;
         ] );
     ]

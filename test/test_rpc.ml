@@ -153,6 +153,89 @@ let test_desync_resync () =
   let out = Rm.push r (junk ^ good) in
   Alcotest.(check (list string)) "resynced" [ "recovered" ] out
 
+(* A stream through every state of the reassembler: coalesced records,
+   empty records, a multi-fragment record, a record abandoned by a
+   desync header mid-way, a zero-length middle fragment, and the
+   word-wise scan past junk. *)
+let awkward_stream, awkward_records =
+  let abandoned = Rm.frame_fragmented ~fragment_size:4 "abandoned!" in
+  ( String.concat ""
+      [
+        Rm.frame "one";
+        Rm.frame "";
+        Rm.frame_fragmented ~fragment_size:5 "fragmented message";
+        String.sub abandoned 0 8;
+        "\x7F\xFF\xFF\xFF\x00\x00\x00\x00";
+        Rm.frame "";
+        Rm.frame "tail";
+        "\xFF\xFF\xFF\xFF";
+        Rm.frame (String.make 300 'z');
+      ],
+    [ "one"; ""; "fragmented message"; ""; "tail"; String.make 300 'z' ] )
+
+(* The buffer-per-segment reassembler that [feed] replaced, kept as the
+   reference model: a header is parsed only once its whole fragment is
+   in, and the unconsumed stream is re-copied on every push. *)
+let reference_records stream =
+  let n = String.length stream in
+  let record = Buffer.create 64 and out = ref [] and pos = ref 0 and continue = ref true in
+  while !continue do
+    if n - !pos < 4 then continue := false
+    else begin
+      let hdr = Int32.to_int (String.get_int32_be stream !pos) land 0xFFFFFFFF in
+      let len = hdr land 0x7FFFFFFF in
+      if len > 0x100000 then begin
+        Buffer.clear record;
+        pos := !pos + 4
+      end
+      else if n - !pos - 4 < len then continue := false
+      else begin
+        Buffer.add_substring record stream (!pos + 4) len;
+        pos := !pos + 4 + len;
+        if hdr land 0x80000000 <> 0 then begin
+          out := Buffer.contents record :: !out;
+          Buffer.clear record
+        end
+      end
+    end
+  done;
+  List.rev !out
+
+(* [feed] split at every byte offset of the stream (itself embedded at
+   an offset in a larger string) must emit what [push] and the
+   reference model emit on the whole stream. *)
+let test_feed_split_everywhere () =
+  let expected = awkward_records in
+  Alcotest.(check (list string)) "reference model" expected (reference_records awkward_stream);
+  Alcotest.(check (list string))
+    "push" expected
+    (Rm.push (Rm.create_reassembler ()) awkward_stream);
+  let s = "pad" ^ awkward_stream ^ "pad" in
+  let n = String.length awkward_stream in
+  for k = 0 to n do
+    let r = Rm.create_reassembler () in
+    let out = ref [] in
+    let emit b ~pos ~len = out := String.sub b pos len :: !out in
+    Rm.feed r s ~pos:3 ~len:k emit;
+    Rm.feed r s ~pos:(3 + k) ~len:(n - k) emit;
+    if List.rev !out <> expected then Alcotest.failf "split at %d: records differ" k;
+    let left = Rm.pending_bytes r in
+    if left <> 0 then Alcotest.failf "split at %d: %d bytes left" k left
+  done
+
+(* A record wholly inside one chunk is passed on as a slice of that
+   chunk; one that spans chunks is assembled into a fresh string. *)
+let test_feed_zero_copy () =
+  let framed = "xx" ^ Rm.frame "hello" ^ Rm.frame "world" in
+  let r = Rm.create_reassembler () in
+  let seen = ref [] in
+  let emit b ~pos ~len = seen := (b == framed, String.sub b pos len) :: !seen in
+  (* the first chunk ends two bytes into "world" *)
+  Rm.feed r framed ~pos:2 ~len:15 emit;
+  Rm.feed r framed ~pos:17 ~len:(String.length framed - 17) emit;
+  Alcotest.(check (list (pair bool string)))
+    "slice, then assembled" [ (true, "hello"); (false, "world") ] (List.rev !seen)
+
 let prop_random_chunking =
   QCheck.Test.make ~name:"record marking survives arbitrary chunking" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 5) (string_of_size Gen.(0 -- 64))) (int_range 1 13))
@@ -168,6 +251,34 @@ let prop_random_chunking =
         i := !i + len
       done;
       !out = messages)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"chunked feed matches the reference model on noisy streams" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 6)
+           (pair (string_of_size Gen.(0 -- 40)) (option (string_of_size Gen.(1 -- 9)))))
+        (int_range 1 17))
+    (fun (parts, chunk) ->
+      (* records, some followed by junk that may desync the stream *)
+      let stream =
+        String.concat ""
+          (List.map
+             (fun (msg, junk) ->
+               Rm.frame_fragmented ~fragment_size:7 msg
+               ^ match junk with Some j -> "\xFF\xFF\xFF\xFF" ^ j | None -> "")
+             parts)
+      in
+      let r = Rm.create_reassembler () in
+      let out = ref [] in
+      let n = String.length stream in
+      let i = ref 0 in
+      while !i < n do
+        let len = min chunk (n - !i) in
+        Rm.feed r stream ~pos:!i ~len (fun b ~pos ~len -> out := String.sub b pos len :: !out);
+        i := !i + len
+      done;
+      List.rev !out = reference_records stream)
 
 let prop_fragmentation_equivalence =
   QCheck.Test.make ~name:"fragment size does not change the message" ~count:200
@@ -198,7 +309,10 @@ let () =
           Alcotest.test_case "empty record" `Quick test_empty_record;
           Alcotest.test_case "pending bytes" `Quick test_pending_bytes;
           Alcotest.test_case "desync resync" `Quick test_desync_resync;
+          Alcotest.test_case "feed split at every offset" `Quick test_feed_split_everywhere;
+          Alcotest.test_case "feed passes whole records through" `Quick test_feed_zero_copy;
           QCheck_alcotest.to_alcotest prop_random_chunking;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
           QCheck_alcotest.to_alcotest prop_fragmentation_equivalence;
         ] );
     ]

@@ -118,6 +118,45 @@ let test_line_bad_input () =
   Alcotest.(check bool) "junk rejected" true (Result.is_error (Record.of_line "not a record"));
   Alcotest.(check bool) "empty rejected" true (Result.is_error (Record.of_line ""))
 
+(* The line writer formats integers itself; at the edges of every
+   field's range it must still print what Printf prints. *)
+let test_line_extremes () =
+  let attr =
+    { Types.default_fattr with size = Int64.max_int; fileid = -1L;
+      mtime = Types.time_of_float 1e9 }
+  in
+  let fh = Fh.of_raw "\x00\xff\x10" in
+  List.iter
+    (fun (xid, uid, offset) ->
+      let r =
+        {
+          Record.time = 0.5;
+          reply_time = Some 1_000_000_000.25;
+          version = 2;
+          client = Ip.v 255 0 10 1;
+          server = Ip.v 0 0 0 0;
+          xid;
+          uid;
+          gid = max_int;
+          call = Ops.Write { fh; offset; count = 0; stable = Types.Unstable };
+          result =
+            Some
+              (Ok (Ops.R_write { count = min_int; committed = Types.File_sync; attr = Some attr }));
+        }
+      in
+      let expected =
+        Printf.sprintf
+          "%.6f %.6f v2 255.0.10.1 0.0.0.0 %08x %d %d write fh=%s off=%Ld count=0 stable=0 | \
+           status=0 rcount=%d committed=2 size=%Ld fileid=-1 ftype=%s mtime=%s"
+          0.5 1_000_000_000.25 xid uid max_int (Fh.to_hex_full fh) offset min_int Int64.max_int
+          (Types.ftype_to_string attr.ftype) (string_of_float 1e9)
+      in
+      Alcotest.(check string) (Printf.sprintf "xid %x" xid) expected (Record.to_line r))
+    [
+      (0, 0, 0L); (0xFFFFFFFF, -1, Int64.max_int); (0x1_0000_0000, min_int, Int64.min_int);
+      (-1, max_int, -1L);
+    ]
+
 let test_io_bytes () =
   Alcotest.(check int) "read bytes from reply" 8192 (Record.io_bytes base_record);
   let lost = { base_record with result = None } in
@@ -477,6 +516,120 @@ let test_degraded_drift_bounded () =
   close "write" cw dw;
   close "lookup" cl dl
 
+(* --- the slice path --- *)
+
+let slice_start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0
+
+let sim_pcap ?fault system =
+  let buf = Buffer.create (1 lsl 20) in
+  let writer = Pcap.writer_to_buffer buf in
+  let stop = slice_start +. 300. in
+  (match system with
+  | `Campus ->
+      let config = { Nt_workload.Email.default_config with users = 10 } in
+      ignore (Pipeline.campus_to_pcap ~config ?fault ~start:slice_start ~stop ~writer ())
+  | `Eecs ->
+      let config = { Nt_workload.Research.default_config with users = 4 } in
+      ignore (Pipeline.eecs_to_pcap ~config ?fault ~start:slice_start ~stop ~writer ()));
+  Buffer.contents buf
+
+let slice_pcaps =
+  lazy
+    [
+      ("campus", sim_pcap `Campus);
+      ("eecs", sim_pcap `Eecs);
+      ("campus, campus_burst", sim_pcap ~fault:Fault.campus_burst `Campus);
+    ]
+
+(* The copying path: each packet copied out of the reader, then fed
+   whole. The reader's loss accounting is folded in as [feed_pcap]
+   does. *)
+let capture_copies pcap =
+  let out = ref [] in
+  let cap = Capture.create ~emit:(fun r -> out := r :: !out) () in
+  let reader = Pcap.reader_of_string ~salvage:true pcap in
+  Seq.iter
+    (fun (p : Pcap.packet) -> Capture.feed_packet cap ~time:p.time p.data)
+    (Pcap.packets reader);
+  let stats, _ = Capture.finish cap in
+  let rs = Pcap.read_stats reader in
+  ( {
+      stats with
+      salvaged_records = rs.salvaged;
+      skipped_pcap_bytes = rs.skipped_bytes;
+      truncated_pcap_tails = (if rs.truncated_tail then 1 else 0);
+    },
+    List.rev !out )
+
+let capture_slices pcap =
+  let out = ref [] in
+  let cap = Capture.create ~emit:(fun r -> out := r :: !out) () in
+  Capture.feed_pcap cap (Pcap.reader_of_string ~salvage:true pcap);
+  let stats, _ = Capture.finish cap in
+  (stats, List.rev !out)
+
+let test_slices_equal_copies () =
+  List.iter
+    (fun (name, pcap) ->
+      let stats, records = capture_slices pcap in
+      let stats', records' = capture_copies pcap in
+      if stats <> stats' then
+        Alcotest.failf "%s: stats differ:\n  slices %s\n  copies %s" name
+          (Capture.stats_to_string stats) (Capture.stats_to_string stats');
+      Alcotest.(check int) (name ^ ": record count") (List.length records') (List.length records);
+      Alcotest.(check bool) (name ^ ": records") true (records = records');
+      Alcotest.(check bool) (name ^ ": something decoded") true (stats.calls > 100))
+    (Lazy.force slice_pcaps)
+
+(* Feed every packet from one reused window and scribble over it after
+   each call: a record that kept a slice of the window would change. *)
+let test_records_never_alias_window () =
+  List.iter
+    (fun (name, pcap) ->
+      let _, expected = capture_copies pcap in
+      let packets = List.of_seq (Pcap.packets (Pcap.reader_of_string ~salvage:true pcap)) in
+      let widest =
+        List.fold_left (fun m (p : Pcap.packet) -> max m (String.length p.data)) 0 packets
+      in
+      let window = Bytes.make (widest + 11) '\000' in
+      let out = ref [] in
+      let cap = Capture.create ~emit:(fun r -> out := r :: !out) () in
+      List.iter
+        (fun (p : Pcap.packet) ->
+          let len = String.length p.data in
+          Bytes.blit_string p.data 0 window 7 len;
+          Capture.feed_slice cap ~time:p.time (Bytes.unsafe_to_string window) ~pos:7 ~len;
+          Bytes.fill window 0 (Bytes.length window) '\xA5')
+        packets;
+      ignore (Capture.finish cap);
+      Alcotest.(check bool) (name ^ ": records unchanged") true (List.rev !out = expected))
+    (Lazy.force slice_pcaps)
+
+(* Words allocated by [f]: minor allocations plus direct major ones. *)
+let allocated_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.major_words -. s.promoted_words
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* The capture path reads headers and skips payloads in place, so its
+   allocation is a small fraction of its input. The copying path cost
+   several bytes per input byte. *)
+let test_capture_alloc_guard () =
+  let pcap = List.assoc "campus" (Lazy.force slice_pcaps) in
+  let records = ref 0 in
+  let cap = Capture.create ~emit:(fun _ -> incr records) () in
+  let reader = Pcap.reader_of_string pcap in
+  let words = allocated_words (fun () -> Capture.feed_pcap cap reader) in
+  let per_byte = words *. float_of_int (Sys.word_size / 8) /. float_of_int (String.length pcap) in
+  Alcotest.(check bool) "records emitted" true (!records > 100);
+  if per_byte > 0.5 then
+    Alcotest.failf "capture allocated %.3f B per input byte (%d bytes in), above 0.5" per_byte
+      (String.length pcap)
+
 (* --- anonymizer --- *)
 
 let anon ?(config = Anonymize.default_config) () = Anonymize.create ~seed:9L config
@@ -640,6 +793,51 @@ let prop_record_line_roundtrip =
           && Record.offset r' = Record.offset r
       | Error _ -> false)
 
+(* --- nfsanon --- *)
+
+(* the binary sits beside this one in the build tree *)
+let nfsanon args =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/nfsanon.exe" in
+  Sys.command (Filename.quote_command exe ~stderr:Filename.null args)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "nt_anon" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f (Filename.concat dir))
+
+(* nfsanon reads through the same source layer as the analysis CLIs, so
+   a tbin trace anonymizes exactly like its text twin. *)
+let test_nfsanon_tbin_like_text () =
+  with_temp_dir (fun path ->
+      let records = synth_records 60 in
+      Out_channel.with_open_bin (path "in.trace") (fun oc ->
+          ignore (Record.write_channel oc (List.to_seq records)));
+      Out_channel.with_open_bin (path "in.ntb") (fun oc ->
+          let w = Nt_tbin.Writer.create (output_string oc) in
+          List.iter (Nt_tbin.Writer.add w) records;
+          Nt_tbin.Writer.close w);
+      let anon input output =
+        Alcotest.(check int) ("exit on " ^ input) 0
+          (nfsanon [ "--seed"; "99"; path input; "-o"; path output ]);
+        In_channel.with_open_bin (path output) In_channel.input_all
+      in
+      let text = anon "in.trace" "text.out" and tbin = anon "in.ntb" "tbin.out" in
+      Alcotest.(check int) "every record anonymized" 60
+        (List.length (String.split_on_char '\n' (String.trim text)));
+      Alcotest.(check string) "tbin output equals text output" text tbin)
+
+let test_nfsanon_bad_seed_is_usage_error () =
+  with_temp_dir (fun path ->
+      Out_channel.with_open_bin (path "in.trace") (fun oc ->
+          ignore (Record.write_channel oc (List.to_seq (synth_records 3))));
+      Alcotest.(check int) "cmdliner usage error" 124
+        (nfsanon [ "--seed"; "notanumber"; path "in.trace"; "-o"; path "out.trace" ]);
+      Alcotest.(check int) "a valid seed still runs" 0
+        (nfsanon [ "--seed=-12345"; path "in.trace"; "-o"; path "out.trace" ]))
+
 let () =
   Alcotest.run "nt_trace"
     [
@@ -651,6 +849,7 @@ let () =
           Alcotest.test_case "lost reply" `Quick test_line_lost_reply;
           Alcotest.test_case "error result" `Quick test_line_error_result;
           Alcotest.test_case "bad input" `Quick test_line_bad_input;
+          Alcotest.test_case "line format at field extremes" `Quick test_line_extremes;
           Alcotest.test_case "io bytes" `Quick test_io_bytes;
           Alcotest.test_case "channel roundtrip" `Quick test_channel_roundtrip;
           QCheck_alcotest.to_alcotest prop_record_line_roundtrip;
@@ -684,6 +883,13 @@ let () =
           Alcotest.test_case "salvage mangled pcap" `Quick test_degraded_salvage_mangled_pcap;
           Alcotest.test_case "analysis drift bounded" `Quick test_degraded_drift_bounded;
         ] );
+      ( "slices",
+        [
+          Alcotest.test_case "slices equal copies" `Quick test_slices_equal_copies;
+          Alcotest.test_case "records never alias the window" `Quick
+            test_records_never_alias_window;
+          Alcotest.test_case "allocation per input byte" `Quick test_capture_alloc_guard;
+        ] );
       ( "anonymize",
         [
           Alcotest.test_case "consistent" `Quick test_anon_consistent;
@@ -699,5 +905,8 @@ let () =
           Alcotest.test_case "record" `Quick test_anon_record;
           Alcotest.test_case "omit mode" `Quick test_anon_omit;
           Alcotest.test_case "categories survive" `Quick test_anon_categories_survive;
+          Alcotest.test_case "nfsanon: tbin input like text" `Quick test_nfsanon_tbin_like_text;
+          Alcotest.test_case "nfsanon: bad seed is a usage error" `Quick
+            test_nfsanon_bad_seed_is_usage_error;
         ] );
     ]
