@@ -31,8 +31,8 @@ let run input output seed omit obs_opts =
   in
   if output <> "-" then close_out oc;
   Result.iter_error (Cli_file.fail "nfsanon") opened;
-  Printf.eprintf "nfsanon: %d records, %d distinct name components mapped\n%!" !n
-    (Nt_trace.Anonymize.mapped_names anon);
+  Printf.eprintf "nfsanon: %d records%s, %d distinct name components mapped\n%!" !n
+    (Cli_file.skipped_note obs) (Nt_trace.Anonymize.mapped_names anon);
   Obs_cli.finish prog;
   Obs_cli.dump obs_opts obs;
   Obs_cli.dump_timeline ~sampler obs_opts timeline;

@@ -69,8 +69,8 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
           let findings = Lint.findings t in
           if json then print_endline (Nt_lint.Finding.list_to_json findings)
           else List.iter (fun f -> print_endline (Nt_lint.Finding.to_string f)) findings;
-          Printf.eprintf "nfslint: %d records, %d error(s), %d warning(s), %d info%s\n%!"
-            (Lint.records_seen t)
+          Printf.eprintf "nfslint: %d records%s, %d error(s), %d warning(s), %d info%s\n%!"
+            (Lint.records_seen t) (Cli_file.skipped_note obs)
             (Lint.severity_count t Nt_lint.Rule.Error)
             (Lint.severity_count t Nt_lint.Rule.Warn)
             (Lint.severity_count t Nt_lint.Rule.Info)

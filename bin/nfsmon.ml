@@ -16,7 +16,7 @@ module Mon = Nt_mon.Service
 let parse_source obs s ~sim_start ~sim_stop ~speedup ~slice =
   let feed_of_path kind path =
     match kind with
-    | `Trace -> Ok (Nt_mon.Feed.trace_tail ~obs path)
+    | `Text -> Ok (Nt_mon.Feed.trace_tail ~obs path)
     | `Pcap -> Ok (Nt_mon.Feed.pcap_tail ~obs path)
     | `Tbin -> Ok (Nt_mon.Feed.tbin_tail ~obs path)
   in
@@ -25,7 +25,7 @@ let parse_source obs s ~sim_start ~sim_stop ~speedup ~slice =
       let kind = String.sub s 0 i in
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       match kind with
-      | "trace" -> feed_of_path `Trace rest
+      | "trace" -> feed_of_path `Text rest
       | "pcap" -> feed_of_path `Pcap rest
       | "tbin" -> feed_of_path `Tbin rest
       | "sim" -> (
@@ -39,10 +39,7 @@ let parse_source obs s ~sim_start ~sim_stop ~speedup ~slice =
           | "eecs" -> mk Nt_core.Live_feed.Eecs
           | w -> Error (Printf.sprintf "unknown workload %S (campus or eecs)" w))
       | _ -> Error (Printf.sprintf "unknown source kind %S (trace:, pcap:, tbin:, sim:)" kind))
-  | None ->
-      if Filename.check_suffix s ".pcap" then feed_of_path `Pcap s
-      else if Filename.check_suffix s ".ntb" then feed_of_path `Tbin s
-      else feed_of_path `Trace s
+  | None -> feed_of_path (Nt_core.Pipeline.source_kind s) s
 
 let parse_listen s =
   match String.rindex_opt s ':' with
@@ -164,7 +161,8 @@ let source =
           "Record source: $(b,trace:PATH) (tail a text trace), $(b,pcap:PATH) (tail a pcap \
            capture), $(b,tbin:PATH) (tail an nttb/1 binary trace), or \
            $(b,sim:campus)/$(b,sim:eecs) (live simulated workload). A bare path picks the \
-           format by extension (.pcap, .ntb, else text).")
+           format by its leading magic (nttb/1 or pcap), else by extension (.pcap, .ntb, else \
+           text).")
 
 let window =
   Arg.(value & opt float 10. & info [ "window" ] ~docv:"SECONDS" ~doc:"Window length.")

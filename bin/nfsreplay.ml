@@ -111,7 +111,8 @@ let run input obs_opts =
   with
   | exception Sys_error msg -> Cli_file.fail "nfsreplay" msg
   | records ->
-      Printf.eprintf "nfsreplay: %d records loaded\n%!" (List.length records);
+      Printf.eprintf "nfsreplay: %d records loaded%s\n%!" (List.length records)
+        (Cli_file.skipped_note obs);
       let results =
         List.map
           (fun p ->

@@ -30,7 +30,7 @@ let run input analyses jobs shard_records lint obs_opts =
   | Error msg -> Cli_file.fail "nfsstats" msg
   | Ok () ->
       Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
-      Printf.eprintf "nfsstats: %d records loaded\n%!" n;
+      Printf.eprintf "nfsstats: %d records loaded%s\n%!" n (Cli_file.skipped_note obs);
       Option.iter
         (fun l ->
           List.iter
@@ -64,8 +64,8 @@ let input =
     required & pos 0 (some string) None
     & info [] ~docv:"TRACE"
         ~doc:
-          "Input trace: - for stdin (text), a path (format sniffed: .ntb extension or nttb/1 \
-           magic means binary), or an explicit trace:PATH / tbin:PATH.")
+          "Input trace: - for stdin (text), a path (format sniffed: the nttb/1 magic or, \
+           failing that, a .ntb extension means binary), or an explicit trace:PATH / tbin:PATH.")
 
 let analyses =
   let kind =

@@ -21,7 +21,6 @@ type daily_activity = {
 val ins : daily_activity
 val res : daily_activity
 val nt : daily_activity
-val sprite : daily_activity
 val table2_comparisons : daily_activity list
 
 (** The paper's own Table 2 rows for CAMPUS and EECS (the targets our

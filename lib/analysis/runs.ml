@@ -37,9 +37,11 @@ let split ?(gap = 30.) (accesses : Io_log.access array) =
   flush ();
   List.rev !runs
 
-let blocks_of ~block bytes = (bytes + block - 1) / block
+(* The paper's 8 KB block: the unit that jump distances are counted in. *)
+let block = 8192
+let blocks_of bytes = (bytes + block - 1) / block
 
-let classify ?(block = 8192) ~jump_blocks (run : Io_log.access array) =
+let classify ~jump_blocks (run : Io_log.access array) =
   let n = Array.length run in
   assert (n > 0);
   let first = run.(0) in
@@ -51,7 +53,7 @@ let classify ?(block = 8192) ~jump_blocks (run : Io_log.access array) =
     let sequential = ref true in
     for i = 1 to n - 1 do
       let prev = run.(i - 1) in
-      let expected = (prev.offset / block) + blocks_of ~block prev.count in
+      let expected = (prev.offset / block) + blocks_of prev.count in
       let got = run.(i).offset / block in
       if abs (got - expected) >= jump_blocks then sequential := false
     done;
@@ -84,10 +86,10 @@ let analyze_file ?(window = 0.) ?(gap = 30.) ~jump_blocks accesses =
   let sorted = if window > 0. then fst (Io_log.sort_window window accesses) else accesses in
   List.map (run_of_accesses ~jump_blocks) (split ~gap sorted)
 
-let analyze ?(window = 0.) ?(gap = 30.) ~jump_blocks log =
+let analyze ?(window = 0.) ~jump_blocks log =
   let out = ref [] in
   Io_log.iter_files log (fun _ accesses ->
-      out := List.rev_append (analyze_file ~window ~gap ~jump_blocks accesses) !out);
+      out := List.rev_append (analyze_file ~window ~jump_blocks accesses) !out);
   !out
 
 type table3_row = { entire_pct : float; sequential_pct : float; random_pct : float }

@@ -24,19 +24,20 @@ val split : ?gap:float -> Io_log.access array -> Io_log.access array list
 (** Split one file's (possibly window-sorted) accesses into runs;
     [gap] defaults to the paper's 30 s. *)
 
-val classify : ?block:int -> jump_blocks:int -> Io_log.access array -> pattern
+val classify : jump_blocks:int -> Io_log.access array -> pattern
 (** [jump_blocks = 1] is the strict rule; [10] allows the small seeks
-    the paper argues never move a disk arm. Singleton runs are entire
-    when they span the whole file and sequential otherwise. *)
+    the paper argues never move a disk arm; jumps are counted in 8 KB
+    blocks. Singleton runs are entire when they span the whole file and
+    sequential otherwise. *)
 
 val analyze_file : ?window:float -> ?gap:float -> jump_blocks:int -> Io_log.access array -> run list
 (** Window-sort, split and classify one file's accesses. Runs never
     span files, so a full analysis is the per-file concatenation — the
     unit the parallel driver fans out over domains. *)
 
-val analyze : ?window:float -> ?gap:float -> jump_blocks:int -> Io_log.t -> run list
-(** Full pipeline: optional reorder-window sort (seconds), split,
-    classify every run of every file. *)
+val analyze : ?window:float -> jump_blocks:int -> Io_log.t -> run list
+(** Full pipeline: optional reorder-window sort (seconds), split at
+    the paper's 30 s gap, classify every run of every file. *)
 
 (** Table 3: the entire/sequential/random breakdown. *)
 type table3_row = { entire_pct : float; sequential_pct : float; random_pct : float }

@@ -1,4 +1,6 @@
-let run_metric ?(block = 8192) ~c (run : Io_log.access array) =
+let block = 8192
+
+let run_metric ~c (run : Io_log.access array) =
   let n = Array.length run in
   if n <= 1 then 1.0
   else begin

@@ -6,8 +6,8 @@
     where the previous access ended). [c = 10] is the paper's "small
     jumps allowed" variant; [c = 1] is strict consecutiveness. *)
 
-val run_metric : ?block:int -> c:int -> Io_log.access array -> float
-(** Metric for one run; 1.0 for singleton runs. *)
+val run_metric : c:int -> Io_log.access array -> float
+(** Metric for one run in 8 KB blocks; 1.0 for singleton runs. *)
 
 type curve = {
   bucket_edges : float array;  (** bytes-accessed bucket upper edges *)

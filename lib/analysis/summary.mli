@@ -21,7 +21,6 @@ val merge : t -> t -> t
     microsecond span clamp of {!days} to the merged span. *)
 
 val total_ops : t -> int
-val ops_for : t -> Nt_nfs.Proc.t -> int
 val read_ops : t -> int
 val write_ops : t -> int
 val bytes_read : t -> float

@@ -13,9 +13,6 @@
     counted escape hatch.  Missing units or empty registries are
     configuration drift. *)
 
-val parse_tag : string -> (string * string) option
-(** Exposed for tests: "nttb/1\n" -> Some ("nttb", "1"). *)
-
 val check :
   Finding.sink ->
   codecs:(string * string list * string) list ->

@@ -192,7 +192,6 @@ let run config root =
   List.iter
     (fun (u : Loader.unit_info) ->
       if Reach.mem reach u.Loader.name then Domain_check.check sink u;
-      if prefix_scope config.decode_prefixes u.Loader.dotted then Hygiene_check.check_decode sink u;
       if lib_scope config u.Loader.dotted then Hygiene_check.check sink u;
       Alloc_check.check sink ~hot:alloc_hot ~cmp_hot u;
       Bound_check.check sink ~hot:bound_hot u)

@@ -9,7 +9,8 @@ type config = {
   lib_prefixes : string list;
       (** dotted-name prefixes of units under hygiene + merge-law scope *)
   decode_prefixes : string list;
-      (** dotted-name prefixes of units under decode-purity scope *)
+      (** dotted-name prefixes of units whose decode* bindings seed the
+          alloc-hot set *)
   hot_prefixes : string list;
       (** dotted-name prefixes whose observe/observe_shard/add (and, for
           the poly-compare rule, merge) bindings seed the alloc-hot set;

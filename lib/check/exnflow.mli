@@ -16,10 +16,8 @@ type exns =
 val bot : exns
 val is_bot : exns -> bool
 val union : exns -> exns -> exns
-val subtract : exns -> string list -> exns
 val leq : exns -> exns -> bool
 val equal_exns : exns -> exns -> bool
-val mem_exn : string -> exns -> bool
 
 val to_strings : exns -> string list
 (** [["*"]] for [Top], sorted constructor names otherwise. *)

@@ -1,12 +1,10 @@
 type severity = Info | Warn | Error
 
 let severity_to_string = function Info -> "info" | Warn -> "warn" | Error -> "error"
-let severity_rank = function Info -> 0 | Warn -> 1 | Error -> 2
 
 type family =
   | Domain_safety
   | Merge_law
-  | Decode_purity
   | Hygiene
   | Alloc
   | Bound
@@ -18,7 +16,6 @@ type family =
 let family_to_string = function
   | Domain_safety -> "domain-safety"
   | Merge_law -> "merge-law"
-  | Decode_purity -> "decode-purity"
   | Hygiene -> "hygiene"
   | Alloc -> "alloc"
   | Bound -> "bound"
@@ -49,12 +46,6 @@ let merge_law_missing =
   rule "merge-law-missing" Merge_law Error
     "interface exposes merge : t -> t -> t with no registered merge-law property in the \
      test suite"
-
-(* --- decode purity --- *)
-
-let decode_partial_match =
-  rule "decode-partial-match" Decode_purity Error
-    "partial pattern match in a decode-path function that does not return result or option"
 
 (* --- hygiene --- *)
 
@@ -153,7 +144,6 @@ let all =
     dom_top_mutable;
     dom_mutable_record;
     merge_law_missing;
-    decode_partial_match;
     lib_stdout;
     obj_magic;
     marshal_untrusted;

@@ -8,12 +8,10 @@
 type severity = Info | Warn | Error
 
 val severity_to_string : severity -> string
-val severity_rank : severity -> int
 
 type family =
   | Domain_safety
   | Merge_law
-  | Decode_purity
   | Hygiene
   | Alloc
   | Bound
@@ -29,7 +27,6 @@ type t = { id : string; family : family; severity : severity; doc : string }
 val dom_top_mutable : t
 val dom_mutable_record : t
 val merge_law_missing : t
-val decode_partial_match : t
 val lib_stdout : t
 val obj_magic : t
 val marshal_untrusted : t

@@ -60,8 +60,7 @@ let pull st () =
     end
   end
 
-let create ?obs ?(email = Email.default_config) ?(research = Research.default_config)
-    ?(slice_s = 1.0) ?speedup ~workload ~start ~stop () =
+let create ?obs ?(slice_s = 1.0) ?speedup ~workload ~start ~stop () =
   if stop <= start then invalid_arg "Live_feed.create: stop <= start";
   if slice_s <= 0. then invalid_arg "Live_feed.create: slice_s <= 0";
   let obs = match obs with Some o -> o | None -> Obs.null in
@@ -73,14 +72,15 @@ let create ?obs ?(email = Email.default_config) ?(research = Research.default_co
         Obs.inc c_records;
         Queue.push r queue)
   in
+  let sink = Record_sorter.push_record sorter in
   (match workload with
   | Campus ->
       let server = Server.create ~fsid:2 ~ip:(Nt_net.Ip_addr.v 10 1 1 2) () in
-      let wl = Email.setup email ~engine ~server ~sink:(Record_sorter.push_record sorter) in
+      let wl = Email.setup Email.default_config ~engine ~server ~sink in
       Email.schedule wl ~start ~stop
   | Eecs ->
       let server = Server.create ~fsid:3 ~ip:(Nt_net.Ip_addr.v 10 2 1 2) () in
-      let wl = Research.setup research ~engine ~server ~sink:(Record_sorter.push_record sorter) in
+      let wl = Research.setup Research.default_config ~engine ~server ~sink in
       Research.schedule wl ~start ~stop);
   let st =
     {

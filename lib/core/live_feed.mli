@@ -18,8 +18,6 @@ type workload = Campus | Eecs
 
 val create :
   ?obs:Nt_obs.Obs.t ->
-  ?email:Nt_workload.Email.config ->
-  ?research:Nt_workload.Research.config ->
   ?slice_s:float ->
   ?speedup:float ->
   workload:workload ->
@@ -28,5 +26,4 @@ val create :
   unit ->
   Nt_mon.Feed.t
 (** [slice_s] (default 1.0 simulated second) bounds the engine work done
-    by a single [pull]. [email]/[research] configure whichever workload
-    [workload] selects. *)
+    by a single [pull]. [workload] runs at its default configuration. *)

@@ -145,7 +145,8 @@ type degraded_run = {
   degraded_records : Nt_trace.Record.t list;
 }
 
-let run_degraded ?(seed = 2003L) ?(mangle_flips = 0) ~transport ~plan records =
+let run_degraded ?(mangle_flips = 0) ~transport ~plan records =
+  let seed = 2003L in
   let through plan =
     let buf = Buffer.create (1 lsl 20) in
     let writer = Nt_net.Pcap.writer_to_buffer buf in
@@ -182,17 +183,17 @@ let lint_degraded ?config (d : degraded_run) =
     degraded_lint = lint_records ?config ~stats:d.degraded d.degraded_records;
   }
 
-let campus_degraded ?config ?seed ?mangle_flips ~plan ~start ~stop () =
+let campus_degraded ?config ~plan ~start ~stop () =
   let _, records =
     collect_records (fun ~sink -> simulate_campus ?config ~start ~stop ~sink ())
   in
-  run_degraded ?seed ?mangle_flips ~transport:Packet_pipe.Tcp_transport ~plan records
+  run_degraded ~transport:Packet_pipe.Tcp_transport ~plan records
 
-let eecs_degraded ?config ?seed ?mangle_flips ~plan ~start ~stop () =
+let eecs_degraded ?config ~plan ~start ~stop () =
   let _, records =
     collect_records (fun ~sink -> simulate_eecs ?config ~start ~stop ~sink ())
   in
-  run_degraded ?seed ?mangle_flips ~transport:Packet_pipe.Udp_transport ~plan records
+  run_degraded ~transport:Packet_pipe.Udp_transport ~plan records
 
 (* --- binary trace container (nttb/1) --- *)
 
@@ -204,9 +205,50 @@ let iter_tbin ?obs path f =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Nt_tbin.iter_channel ?obs ic f)
 
+(* --- trace sources --- *)
+
+let kind_of_extension path =
+  if Filename.check_suffix path ".pcap" then `Pcap
+  else if Filename.check_suffix path ".ntb" then `Tbin
+  else `Text
+
+(* The format named by a channel's leading magic, else by [path]'s
+   extension; the channel is rewound. *)
+let channel_kind ic path =
+  let n = String.length Nt_tbin.magic in
+  let buf = Bytes.create n in
+  let rec fill got =
+    if got = n then got else match input ic buf got (n - got) with 0 -> got | k -> fill (got + k)
+  in
+  let head = Bytes.sub_string buf 0 (fill 0) in
+  seek_in ic 0;
+  if String.equal head Nt_tbin.magic then `Tbin
+  else if Nt_net.Pcap.has_magic head then `Pcap
+  else kind_of_extension path
+
+let source_kind path =
+  match open_in_bin path with
+  | exception Sys_error _ -> kind_of_extension path
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> try channel_kind ic path with Sys_error _ -> kind_of_extension path)
+
+let parse_errors_metric = "trace.parse_errors"
+
+let parse_errors obs = Obs.sum_counter (Obs.snapshot obs) parse_errors_metric
+
 let iter_trace ?obs spec f =
   let tbin ic = ignore (Nt_tbin.iter_channel ?obs ic f : Nt_tbin.stats) in
-  let text ic = Seq.iter f (Nt_trace.Record.read_channel ic) in
+  let text ic =
+    let c_errors =
+      Obs.counter (Option.value obs ~default:Obs.null) ~help:"unparsable text trace lines skipped"
+        parse_errors_metric
+    in
+    Seq.iter
+      (function Ok r -> f r | Error _ -> Obs.inc c_errors)
+      (Nt_trace.Record.read_channel ic)
+  in
   if String.equal spec "-" then Ok (text stdin)
   else begin
     let path, forced =
@@ -215,14 +257,6 @@ let iter_trace ?obs spec f =
       else if String.starts_with ~prefix:"tbin:" spec then
         (String.sub spec 5 (String.length spec - 5), Some `Tbin)
       else (spec, None)
-    in
-    (* sniff the 7-byte nttb magic *)
-    let sniff ic =
-      let n = String.length Nt_tbin.magic in
-      let buf = Bytes.create n in
-      let got = input ic buf 0 n in
-      seek_in ic 0;
-      if got = n && String.equal (Bytes.sub_string buf 0 n) Nt_tbin.magic then `Tbin else `Text
     in
     let opened =
       match open_in_bin path with
@@ -234,7 +268,14 @@ let iter_trace ?obs spec f =
       | ic -> (
           match forced with
           | Some k -> Ok (ic, k)
-          | None -> Ok (ic, if String.ends_with ~suffix:".ntb" path then `Tbin else sniff ic))
+          | None -> (
+              match channel_kind ic path with
+              | (`Text | `Tbin) as k -> Ok (ic, k)
+              | `Pcap ->
+                  close_in_noerr ic;
+                  Error
+                    ("cannot read " ^ path
+                   ^ ": a pcap capture, not a trace (decode it with nfstrace)")))
     in
     Result.map
       (fun (ic, kind) ->

@@ -98,15 +98,14 @@ type degraded_run = {
 }
 
 val run_degraded :
-  ?seed:int64 ->
   ?mangle_flips:int ->
   transport:Nt_sim.Packet_pipe.transport ->
   plan:Nt_sim.Fault.plan ->
   Nt_trace.Record.t list ->
   degraded_run
 (** Run the same records through a clean capture and a fault-injected
-    one (same pipe seed, so the only difference is the plan), decoding
-    the degraded pcap in salvage mode. [mangle_flips] additionally
+    one (same pipe seed, 2003, so the only difference is the plan),
+    decoding the degraded pcap in salvage mode. [mangle_flips] additionally
     flips that many bytes of the degraded pcap stream itself —
     savefile-level corruption the salvage reader must absorb. Tests
     assert two things against the result: conservation (each injected
@@ -134,8 +133,6 @@ val lint_degraded : ?config:Nt_lint.Engine.config -> degraded_run -> lint_oracle
 
 val campus_degraded :
   ?config:Nt_workload.Email.config ->
-  ?seed:int64 ->
-  ?mangle_flips:int ->
   plan:Nt_sim.Fault.plan ->
   start:float ->
   stop:float ->
@@ -145,8 +142,6 @@ val campus_degraded :
 
 val eecs_degraded :
   ?config:Nt_workload.Research.config ->
-  ?seed:int64 ->
-  ?mangle_flips:int ->
   plan:Nt_sim.Fault.plan ->
   start:float ->
   stop:float ->
@@ -165,16 +160,29 @@ val iter_tbin :
 (** Stream a [.ntb] file record by record without materializing it —
     the out-of-core reading path. *)
 
+(** {1 Trace sources} *)
+
+val source_kind : string -> [ `Text | `Tbin | `Pcap ]
+(** The format of a bare path. A file that starts with a known magic
+    ([nttb/1], or a pcap global header in microseconds or nanoseconds,
+    either byte order) is that format, whatever its name. Otherwise,
+    including a path that does not exist yet (a tail may start before
+    its file appears), the extension decides: [.pcap], [.ntb], text
+    for anything else. *)
+
 val iter_trace :
   ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> (unit, string) result
 (** [iter_trace spec f] streams a trace source through [f] record by
     record, never holding it whole. [-] reads text records from stdin;
-    [trace:PATH] / [tbin:PATH] force the format; a bare path is
-    sniffed ([.ntb] extension or the [nttb/1] magic mean binary, text
-    otherwise). Unparsable text lines are skipped and tbin decode
-    failures are counted on [obs] under [tbin.*], never raised. A
-    source that cannot be opened is [Error "cannot open ..."], before
-    [f] sees any record. *)
+    [trace:PATH] / [tbin:PATH] force the format; a bare path is read as
+    {!source_kind} says, and a pcap capture is an [Error]. Each
+    unparsable text line is skipped and counted on [obs] under
+    [trace.parse_errors]; tbin decode failures are counted under
+    [tbin.*]. Neither raises. A source that cannot be opened is
+    [Error "cannot open ..."], before [f] sees any record. *)
+
+val parse_errors : Nt_obs.Obs.t -> int
+(** The unparsable text lines {!iter_trace} has skipped on [obs]. *)
 
 val load_trace :
   ?obs:Nt_obs.Obs.t -> ?tick:(unit -> unit) -> string -> Nt_trace.Record.t list

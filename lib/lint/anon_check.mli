@@ -25,8 +25,6 @@ type profile = {
 val default : profile
 (** Matches {!Nt_trace.Anonymize.default_config}. *)
 
-val of_config : Nt_trace.Anonymize.config -> profile
-
 type name_verdict =
   | Name_ok
   | Dictionary of string  (** the offending word *)

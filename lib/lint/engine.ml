@@ -221,12 +221,5 @@ let severity_count t sev =
   | Rule.Warn -> t.n_warn
   | Rule.Error -> t.n_error
 
-let worst t =
-  settle t;
-  if t.n_error > 0 then Some Rule.Error
-  else if t.n_warn > 0 then Some Rule.Warn
-  else if t.n_info > 0 then Some Rule.Info
-  else None
-
 let records_seen t = t.index
 let tracked t = Protocol_check.tracked t.protocol

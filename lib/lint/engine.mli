@@ -20,8 +20,6 @@ type config = {
 
 val default_config : config
 
-val rule_enabled : config -> Rule.t -> bool
-
 type t
 
 val create : ?obs:Nt_obs.Obs.t -> config -> t
@@ -55,9 +53,6 @@ val suppressed : t -> int
 
 val severity_count : t -> Rule.severity -> int
 (** Total findings at exactly this severity, including suppressed. *)
-
-val worst : t -> Rule.severity option
-(** Highest severity seen; [None] for a clean trace. *)
 
 val records_seen : t -> int
 

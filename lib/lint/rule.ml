@@ -1,8 +1,6 @@
 type severity = Info | Warn | Error
 
 let severity_to_string = function Info -> "info" | Warn -> "warn" | Error -> "error"
-let severity_rank = function Info -> 0 | Warn -> 1 | Error -> 2
-let severity_compare a b = compare (severity_rank a) (severity_rank b)
 
 type family = Protocol | Anonymization | Hygiene
 

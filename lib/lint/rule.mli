@@ -12,8 +12,6 @@
 type severity = Info | Warn | Error
 
 val severity_to_string : severity -> string
-val severity_compare : severity -> severity -> int
-(** Orders [Info < Warn < Error]. *)
 
 type family = Protocol | Anonymization | Hygiene
 

@@ -48,8 +48,10 @@ let counters obs =
     c_bytes = Obs.counter obs ~help:"feed bytes consumed" "mon.feed.bytes";
   }
 
-(* A tailed file: [pending] holds bytes read from the fd but not yet
-   consumed as complete input units. [consumed] is the parse offset —
+(* A tailed file: [buf.[start .. stop)] holds bytes read from the fd
+   but not yet consumed as complete input units; consuming advances
+   [start], and each fill compacts the window to the front of [buf]
+   before reading into its tail. [consumed] is the parse offset —
    the boundary of the last complete unit decoded. [delivered] lags it:
    the offset after the last record actually handed to the caller, so
    a checkpoint taken between parse and delivery still replays the
@@ -59,13 +61,17 @@ type tail = {
   cs : counters;
   mutable fd : Unix.file_descr option;
   mutable ino : int;  (* inode the fd reads; rotation detection *)
-  mutable pending : string;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
   mutable consumed : int64;
   mutable delivered : int64;
-  mutable read_off : int64;  (* fd offset = consumed + pending length *)
+  mutable read_off : int64;  (* fd offset = consumed + (stop - start) *)
   on_reset : unit -> unit;  (* the format's own restart at a reopen *)
   mutable damage_seen : int;  (* decoder damage already on parse_errors *)
 }
+
+let chunk_size = 65536
 
 let tail_create ?(on_reset = fun () -> ()) ~obs path =
   {
@@ -73,7 +79,9 @@ let tail_create ?(on_reset = fun () -> ()) ~obs path =
     cs = counters obs;
     fd = None;
     ino = -1;
-    pending = "";
+    buf = Bytes.create chunk_size;
+    start = 0;
+    stop = 0;
     consumed = 0L;
     delivered = 0L;
     read_off = 0L;
@@ -88,7 +96,8 @@ let tail_close t =
 (* Continue reading at [off] without touching the delivered position. *)
 let tail_jump t off =
   tail_close t;
-  t.pending <- "";
+  t.start <- 0;
+  t.stop <- 0;
   t.consumed <- off;
   t.read_off <- off
 
@@ -113,8 +122,6 @@ let tail_ensure_open t =
       | exception Unix.Unix_error _ ->
           Obs.inc t.cs.c_open_failures;
           None)
-
-let chunk_size = 65536
 
 (* Pull more bytes off the file; true when anything new arrived.
    Detects truncation (file now shorter than what we consumed) and
@@ -142,18 +149,27 @@ let rec tail_fill t =
            so the recursive call reopens at offset 0 and cannot loop *)
         tail_fill t
       end
-      else
-        let buf = Bytes.create chunk_size in
-        match Unix.read fd buf 0 chunk_size with
+      else begin
+        let held = t.stop - t.start in
+        if Bytes.length t.buf - held < chunk_size then begin
+          let grown = Bytes.create (max (2 * Bytes.length t.buf) (held + chunk_size)) in
+          Bytes.blit t.buf t.start grown 0 held;
+          t.buf <- grown
+        end
+        else Bytes.blit t.buf t.start t.buf 0 held;
+        t.start <- 0;
+        t.stop <- held;
+        match Unix.read fd t.buf held chunk_size with
         | 0 -> false
         | n ->
-            t.pending <- t.pending ^ Bytes.sub_string buf 0 n;
+            t.stop <- held + n;
             t.read_off <- Int64.add t.read_off (Int64.of_int n);
             true
-        | exception Unix.Unix_error _ -> false)
+        | exception Unix.Unix_error _ -> false
+      end)
 
 let tail_consume t n =
-  t.pending <- String.sub t.pending n (String.length t.pending - n);
+  t.start <- t.start + n;
   t.consumed <- Int64.add t.consumed (Int64.of_int n);
   Obs.add t.cs.c_bytes n
 
@@ -163,7 +179,7 @@ let tail_consume t n =
    True when anything new arrived. *)
 let tail_decode t ~feed ~damage =
   if tail_fill t then begin
-    let chunk = t.pending in
+    let chunk = Bytes.sub_string t.buf t.start (t.stop - t.start) in
     tail_consume t (String.length chunk);
     feed chunk;
     let n = damage () in
@@ -182,14 +198,15 @@ let trace_tail ?obs path =
      [pos] can report the boundary of the last *delivered* record rather
      than the last *parsed* one. *)
   let queue = Queue.create () in
+  let rec newline i = if i >= t.stop || Bytes.get t.buf i = '\n' then i else newline (i + 1) in
   let parse_complete_lines () =
     let continue = ref true in
     while !continue do
-      match String.index_opt t.pending '\n' with
-      | None -> continue := false
-      | Some i ->
-          let line = String.sub t.pending 0 i in
-          tail_consume t (i + 1);
+      match newline t.start with
+      | i when i >= t.stop -> continue := false
+      | i ->
+          let line = Bytes.sub_string t.buf t.start (i - t.start) in
+          tail_consume t (i + 1 - t.start);
           if String.length line > 0 then (
             match Record.of_line line with
             | Ok r -> Queue.push (r, t.consumed) queue

@@ -30,5 +30,5 @@ let push t v =
   t.len <- t.len + 1;
   shed
 
-let footprint ?(entry_words = 24) t =
-  Nt_obs.Footprint.v ~cards:t.len ~words:(8 + Array.length t.buf + (t.len * entry_words))
+(* 24 heap words per entry: a trace record's rough boxed cost. *)
+let footprint t = Nt_obs.Footprint.v ~cards:t.len ~words:(8 + Array.length t.buf + (t.len * 24))

@@ -21,7 +21,6 @@ val length : 'a t -> int
 val capacity : 'a t -> int
 val is_empty : 'a t -> bool
 
-val footprint : ?entry_words:int -> 'a t -> Nt_obs.Footprint.t
-(** State-footprint accounting; the queue is parametric, so the caller
-    supplies the per-entry heap-words estimate (default 24, a trace
-    record's rough boxed cost). *)
+val footprint : 'a t -> Nt_obs.Footprint.t
+(** State-footprint accounting at 24 heap words per entry, a trace
+    record's rough boxed cost. *)

@@ -81,7 +81,6 @@ val conservation : t -> (unit, string) result
 (** Check the conservation law above plus ring-internal agreement;
     [Error] describes the first violated identity. *)
 
-val report_text : t -> string
 val report_json : t -> string
 
 val ring : t -> Ring.t

@@ -21,9 +21,6 @@ type t = {
   transport : transport;
 }
 
-val default_src_mac : string
-val default_dst_mac : string
-
 val udp : ?src_mac:string -> ?dst_mac:string -> src_ip:Ip_addr.t -> dst_ip:Ip_addr.t ->
   src_port:int -> dst_port:int -> string -> t
 

@@ -5,6 +5,13 @@ exception Bad_format of string
 let magic_us = 0xA1B2C3D4
 let magic_ns = 0xA1B23C4D
 let linktype_ethernet = 1
+
+let has_magic s =
+  let known m = m = magic_us || m = magic_ns in
+  String.length s >= 4
+  && (known (Int32.to_int (String.get_int32_le s 0) land 0xFFFF_FFFF)
+     || known (Int32.to_int (String.get_int32_be s 0) land 0xFFFF_FFFF))
+
 let global_header_len = 24
 let record_header_len = 16
 
@@ -24,7 +31,7 @@ let make_writer ?(snaplen = 65535) emit =
   { emit; snaplen }
 
 let writer_to_buffer ?snaplen b = make_writer ?snaplen (Buffer.add_string b)
-let writer_to_channel ?snaplen oc = make_writer ?snaplen (output_string oc)
+let writer_to_channel oc = make_writer (output_string oc)
 
 let write w ~time data =
   let sec = int_of_float (Float.floor time) in

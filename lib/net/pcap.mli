@@ -19,10 +19,14 @@ type packet = { time : float; orig_len : int; data : string }
 
 exception Bad_format of string
 
+val has_magic : string -> bool
+(** [s] starts with a pcap global-header magic: microsecond or
+    nanosecond timestamps, either byte order. *)
+
 type writer
 
 val writer_to_buffer : ?snaplen:int -> Buffer.t -> writer
-val writer_to_channel : ?snaplen:int -> out_channel -> writer
+val writer_to_channel : out_channel -> writer
 val write : writer -> time:float -> string -> unit
 (** Appends one packet record, truncating to the snaplen. *)
 

@@ -21,5 +21,3 @@ let publisher obs ~component =
 let set pub fp =
   Obs.set pub.p_cards (float_of_int fp.cards);
   Obs.set pub.p_words (float_of_int fp.words)
-
-let publish obs ~component fp = set (publisher obs ~component) fp

@@ -30,6 +30,3 @@ type pub
 
 val publisher : Obs.t -> component:string -> pub
 val set : pub -> t -> unit
-
-val publish : Obs.t -> component:string -> t -> unit
-(** One-shot [publisher] + [set] for report-time call sites. *)

@@ -409,8 +409,6 @@ let to_json snap =
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
-let output_json oc snap = output_string oc (to_json snap)
-
 (* --- Prometheus text export --- *)
 
 let prom_name name =

@@ -160,8 +160,6 @@ val to_prometheus : snapshot -> string
     ([.-] become [_]); spans export as [nt_span_seconds_total] /
     [nt_span_count] with a [path] label. *)
 
-val output_json : out_channel -> snapshot -> unit
-
 (** {1 Minimal JSON}
 
     Enough JSON to write our own exports and to validate and

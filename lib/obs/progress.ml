@@ -1,5 +1,4 @@
 type t = {
-  out : out_channel;
   interval : float;
   clock : unit -> float;
   total : int option;
@@ -14,11 +13,10 @@ type t = {
   mutable ticks_since_check : int;
 }
 
-let create ?(out = stderr) ?(interval = 1.0) ?clock ?total ~label () =
+let create ?(interval = 1.0) ?clock ?total ~label () =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
   let start = clock () in
   {
-    out;
     interval = Float.max 0.01 interval;
     clock;
     total;
@@ -58,7 +56,7 @@ let print_line t now =
         Printf.sprintf " %d%%" (min 100 (t.count * 100 / total))
     | _ -> ""
   in
-  Printf.fprintf t.out "%s: %d records %s%s%s\n%!" t.label t.count (human_rate inst_rate)
+  Printf.eprintf "%s: %d records %s%s%s\n%!" t.label t.count (human_rate inst_rate)
     stage eta;
   (* Retune the clock-probe mask so we check roughly 20x per interval:
      enough resolution to hit the cadence, cheap enough to not matter. *)
@@ -93,6 +91,6 @@ let finish t =
   if t.printed || t.count > 0 then begin
     let now = t.clock () in
     let elapsed = Float.max 1e-9 (now -. t.start) in
-    Printf.fprintf t.out "%s: done, %d records in %.2fs (%s)\n%!" t.label t.count elapsed
+    Printf.eprintf "%s: done, %d records in %.2fs (%s)\n%!" t.label t.count elapsed
       (human_rate (float_of_int t.count /. elapsed))
   end

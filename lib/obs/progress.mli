@@ -6,14 +6,13 @@
 type t
 
 val create :
-  ?out:out_channel ->
   ?interval:float ->
   ?clock:(unit -> float) ->
   ?total:int ->
   label:string ->
   unit ->
   t
-(** [out] defaults to [stderr]; [interval] (seconds between lines)
+(** Lines go to [stderr]. [interval] (seconds between lines)
     defaults to [1.0]; [clock] defaults to [Unix.gettimeofday]; [total]
     enables ETA. *)
 

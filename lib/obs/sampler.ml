@@ -234,8 +234,8 @@ let delta ~older ~newer =
 
 (* --- /series JSON --- *)
 
-let series_json ?(refresh = true) t =
-  if refresh then ignore (sample_now t : sample);
+let series_json t =
+  ignore (sample_now t : sample);
   let fps = publish_footprints t in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": \"";

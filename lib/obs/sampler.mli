@@ -74,7 +74,7 @@ val set_footprints : t -> (unit -> (string * Footprint.t) list) -> unit
 val publish_footprints : t -> (string * Footprint.t) list
 (** Force one publication cycle; returns what was published. *)
 
-val series_json : ?refresh:bool -> t -> string
+val series_json : t -> string
 (** The ["nt_obs_series/1"] document: ring samples (oldest first) plus
-    the current footprint map. [refresh] (default true) takes a fresh
-    sample first so a scrape always sees the present. *)
+    the current footprint map. It takes a fresh sample first so a
+    scrape always sees the present. *)

@@ -43,7 +43,6 @@ val reanchor : t -> ts:float -> unit
     clamps and reopen them at [ts] (clamped forward), so downtime is
     attributed to no span and every per-track invariant survives. *)
 
-val obs_sink : ?tid:int -> t -> Obs.sink
 val attach : ?tid:int -> t -> Obs.t -> unit
 (** Mirror a registry's span activity onto track [tid] (default: the
     timeline's main track). *)

@@ -44,10 +44,3 @@ val run :
   Nt_trace.Record.t array ->
   (section * string) list
 (** {!run_stream} over an array already in memory. *)
-
-val render_summary : Nt_analysis.Summary.t -> string
-val render_runs : Nt_analysis.Runs.table3 -> string
-val render_names : Nt_analysis.Names.t -> string
-val render_hourly : Nt_analysis.Hourly.t -> string
-(** The individual section renderers, exposed for tests that build
-    accumulators by hand. *)

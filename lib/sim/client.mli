@@ -42,7 +42,6 @@ type t
 val create : config -> server:Server.t -> sink:(Nt_trace.Record.t -> unit) -> rng:Nt_util.Prng.t -> t
 
 val config : t -> config
-val calls_issued : t -> int
 
 type session
 
@@ -82,7 +81,7 @@ val append : session -> Nt_nfs.Fh.t -> len:int -> sync:bool -> unit
 (** Write at current EOF (per cached size, refreshing if stale). *)
 
 val truncate : session -> Nt_nfs.Fh.t -> int64 -> unit
-val create_file : session -> dir:Nt_nfs.Fh.t -> name:string -> ?exclusive:bool -> mode:int -> unit -> Nt_nfs.Fh.t option
+val create_file : session -> dir:Nt_nfs.Fh.t -> name:string -> mode:int -> unit -> Nt_nfs.Fh.t option
 val mkdir : session -> dir:Nt_nfs.Fh.t -> name:string -> mode:int -> Nt_nfs.Fh.t option
 val symlink : session -> dir:Nt_nfs.Fh.t -> name:string -> target:string -> unit
 val remove : session -> dir:Nt_nfs.Fh.t -> name:string -> unit
@@ -93,6 +92,3 @@ val readdir : session -> Nt_nfs.Fh.t -> Nt_nfs.Ops.dir_entry list
 
 val cached_size : session -> Nt_nfs.Fh.t -> int64 option
 (** Size per the attribute cache, without wire traffic. *)
-
-val invalidate : t -> Nt_nfs.Fh.t -> unit
-(** Drop cached state for a handle (e.g. after local truncation). *)

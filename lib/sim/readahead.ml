@@ -31,7 +31,10 @@ let perturb rng ~reorder_fraction ~window blocks =
 
 let prefetch_depth = 8
 
-let run ?(seed = 42L) ?(file_blocks = 2048) ?(reorder_fraction = 0.1) ?(window = 3) policy =
+(* One 16 MB transfer in 8 KB blocks. *)
+let file_blocks = 2048
+
+let run ?(seed = 42L) ?(reorder_fraction = 0.1) ?(window = 3) policy =
   let rng = Prng.create seed in
   let order = perturb rng ~reorder_fraction ~window (Array.init file_blocks (fun i -> i)) in
   let disk = Disk.create () in

@@ -29,14 +29,13 @@ type outcome = {
 
 val run :
   ?seed:int64 ->
-  ?file_blocks:int ->
   ?reorder_fraction:float ->
   ?window:int ->
   policy ->
   outcome
-(** Serve one large sequential transfer ([file_blocks], default 2048 =
-    16 MB) whose request order has [reorder_fraction] of requests
-    displaced within [window] positions (default 3, matching the
+(** Serve one large sequential transfer (2048 blocks = 16 MB) whose
+    request order has [reorder_fraction] of requests displaced within
+    [window] positions (default 3, matching the
     paper's "vast majority of seeks were to blocks two or three
     away"). *)
 

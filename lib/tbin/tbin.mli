@@ -29,10 +29,6 @@ val magic : string
 val sync : string
 (** The 4-byte frame marker the reader rescans for after damage. *)
 
-val max_payload : int
-(** Per-frame payload bound (16 MiB); larger claimed lengths are
-    treated as corruption. *)
-
 type stats = {
   frames : int;  (** frames decoded clean *)
   records : int;  (** records delivered *)

@@ -2,9 +2,7 @@ exception Corrupt
 
 type cursor = { s : string; mutable pos : int; limit : int }
 
-let cursor ?(pos = 0) ?limit s =
-  let limit = match limit with Some l -> l | None -> String.length s in
-  { s; pos; limit }
+let cursor ?(pos = 0) s = { s; pos; limit = String.length s }
 
 let u8 c =
   if c.pos >= c.limit then raise Corrupt;

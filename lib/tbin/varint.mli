@@ -19,7 +19,8 @@ type cursor = { s : string; mutable pos : int; limit : int }
 (** Read position into an immutable payload slice; [limit] is
     exclusive. *)
 
-val cursor : ?pos:int -> ?limit:int -> string -> cursor
+val cursor : ?pos:int -> string -> cursor
+(** A cursor at [pos] (default 0) whose [limit] is the string's end. *)
 
 val u8 : cursor -> int
 (** One raw byte; raises {!Corrupt} past [limit]. *)

@@ -78,7 +78,6 @@ type t = {
   rm : Rm.reassembler Flow_tbl.t;
   emit : Record.t -> unit;
   buffer : Record.t list ref option;
-  pending_timeout : float;
   mutable last_sweep : float;
   (* Decode accounting lives on the obs registry (capture.* namespace,
      decode failures as one labeled counter); [finish] reads the
@@ -104,7 +103,7 @@ type t = {
   mutable truncated_pcap_tails : int;
 }
 
-let create ?obs ?(pending_timeout = 60.) ?emit () =
+let create ?obs ?emit () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let buffer, emit =
     match emit with
@@ -124,7 +123,6 @@ let create ?obs ?(pending_timeout = 60.) ?emit () =
     rm = Flow_tbl.create 64;
     emit;
     buffer;
-    pending_timeout;
     last_sweep = 0.;
     c_frames = Obs.counter obs ~help:"link frames presented" "capture.frames";
     c_undecodable = fail "undecodable-frame";
@@ -161,12 +159,15 @@ let lost_record (p : pending) =
     result = None;
   }
 
+(* A call unanswered for this long is emitted as reply-lost. *)
+let pending_timeout = 60.
+
 let flush_expired t ~now =
-  if now -. t.last_sweep >= t.pending_timeout /. 2. then begin
+  if now -. t.last_sweep >= pending_timeout /. 2. then begin
     t.last_sweep <- now;
     let expired =
       Pending_tbl.fold
-        (fun key p acc -> if now -. p.p_time > t.pending_timeout then (key, p) :: acc else acc)
+        (fun key p acc -> if now -. p.p_time > pending_timeout then (key, p) :: acc else acc)
         t.pending []
     in
     List.iter
@@ -177,7 +178,7 @@ let flush_expired t ~now =
       expired;
     let stale =
       Pending_tbl.fold
-        (fun key at acc -> if now -. at > t.pending_timeout then key :: acc else acc)
+        (fun key at acc -> if now -. at > pending_timeout then key :: acc else acc)
         t.answered []
     in
     List.iter (Pending_tbl.remove t.answered) stale

@@ -69,6 +69,4 @@ let path_of t fh =
       Some (String.concat "/" (walk fh [] 0))
 
 let known t = Fh_tbl.length t.bindings
-let lookups_resolved t = t.resolved
-let lookups_total t = t.total
 let resolution_rate t = if t.total = 0 then 1.0 else float_of_int t.resolved /. float_of_int t.total

@@ -27,9 +27,6 @@ val parent_of : t -> Nt_nfs.Fh.t -> Nt_nfs.Fh.t option
 val known : t -> int
 (** Number of handles with a learned binding. *)
 
-val lookups_resolved : t -> int
-val lookups_total : t -> int
-
 val resolution_rate : t -> float
 (** Fraction of name-revealing observations whose directory handle was
     already known — the paper's "probability that the parent has been

@@ -607,7 +607,6 @@ let read_channel ic =
   let rec next () =
     match input_line ic with
     | exception End_of_file -> Seq.Nil
-    | line -> (
-        match of_line line with Ok r -> Seq.Cons (r, next) | Error _ -> next ())
+    | line -> Seq.Cons (of_line line, next)
   in
   next

@@ -53,5 +53,6 @@ val of_line : string -> (t, string) result
 val write_channel : out_channel -> t Seq.t -> int
 (** Stream records to a channel, one line each; returns the count. *)
 
-val read_channel : in_channel -> t Seq.t
-(** Lazily parse records; malformed lines are skipped. *)
+val read_channel : in_channel -> (t, string) result Seq.t
+(** Lazily parse one result per line; the caller decides what a
+    malformed line costs. *)

@@ -12,9 +12,6 @@ val week_start : float
 val week_end : float
 (** 00:00 on Sunday 2001-10-28, i.e. [week_start +. 7 days]. *)
 
-val seconds_per_hour : float
-val seconds_per_day : float
-
 type day = Sun | Mon | Tue | Wed | Thu | Fri | Sat
 
 val day_to_string : day -> string

@@ -22,15 +22,3 @@ val seeky_write :
     stream seeks forward and backward the way mail-client compaction
     and linker section emission do. *)
 
-val seeky_read :
-  Nt_util.Prng.t ->
-  Nt_sim.Client.session ->
-  Nt_nfs.Fh.t ->
-  file_size:int ->
-  stretches:int ->
-  stretch_min:int ->
-  stretch_max:int ->
-  pause:float * float ->
-  unit
-(** Random-stretch reads: [stretches] sequential reads at random
-    offsets, separated by think-time drawn from [pause]. *)

@@ -4,7 +4,6 @@ let create ?(initial_size = 256) () = Buffer.create initial_size
 let reset = Buffer.reset
 let length = Buffer.length
 let contents = Buffer.contents
-let to_bytes = Buffer.to_bytes
 
 let uint32 t v =
   assert (v >= 0 && v <= 0xFFFFFFFF);

@@ -12,7 +12,6 @@ val create : ?initial_size:int -> unit -> t
 val reset : t -> unit
 val length : t -> int
 val contents : t -> string
-val to_bytes : t -> bytes
 
 val uint32 : t -> int -> unit
 (** Encodes the low 32 bits of the int. Accepts 0 .. 2^32-1. *)

@@ -145,24 +145,41 @@ let test_exn_report_rows () =
   Alcotest.(check bool) "annotated callee still censused" true
     (List.exists (fun (d, _, _, _) -> d = "Fix_exn_ok.spill") rows)
 
-(* decode-raise was retired as subsumed by exn-escape: each function it
-   used to flag (the fix_decode and tbin-shaped fixtures), once reachable
-   from a counted-never-raised root, trips exn-escape on that root. *)
-let test_exn_escape_subsumes_decode_raise () =
-  let roots = [ "Fix_decode.decode_u32"; "Fix_tbin.decode_uv" ] in
+(* A retired rule is subsumed when every site it flagged, once
+   reachable from a counted-never-raised root, trips exn-escape on that
+   root with the exception the rule was about ([exn]; any when "").
+   Each root must hold exactly one finding. *)
+let check_exn_escape_subsumes ~retired ~exn roots =
   let t = run ~config:{ fixture_config with Engine.exn_roots = roots } () in
   List.iter
     (fun root ->
       let hit =
         List.exists
           (fun (f : Finding.t) ->
-            f.Finding.rule.Rule.id = "exn-escape" && contains f.Finding.detail root)
+            f.Finding.rule.Rule.id = "exn-escape"
+            && contains f.Finding.detail root
+            && contains f.Finding.detail exn)
           (Engine.findings t)
       in
-      if not hit then Alcotest.failf "exn-escape misses the decode-raise fixture %s" root)
+      if not hit then Alcotest.failf "exn-escape misses the %s fixture %s" retired root)
     roots;
-  Alcotest.(check int) "one exn-escape finding per former decode-raise site" 2
+  Alcotest.(check int)
+    (Printf.sprintf "one exn-escape finding per former %s site" retired)
+    (List.length roots)
     (Engine.rule_count t "exn-escape")
+
+(* decode-raise's sites: the fix_decode and tbin-shaped fixtures. *)
+let test_exn_escape_subsumes_decode_raise () =
+  check_exn_escape_subsumes ~retired:"decode-raise" ~exn:""
+    [ "Fix_decode.decode_u32"; "Fix_tbin.decode_uv" ]
+
+(* Exnflow lowers every partial match to a Match_failure raise, so the
+   site decode-partial-match flagged (tag_name) trips exn-escape, and
+   so does the partial match inside an option-returning decoder
+   (decode_tag), which the retired rule exempted as in-band. *)
+let test_exn_escape_subsumes_decode_partial_match () =
+  check_exn_escape_subsumes ~retired:"decode-partial-match" ~exn:"Match_failure"
+    [ "Fix_decode.tag_name"; "Fix_decode.decode_tag" ]
 
 let test_sarif_output () =
   let t = run () in
@@ -264,6 +281,8 @@ let () =
           Alcotest.test_case "sarif output well-formed" `Quick test_sarif_output;
           Alcotest.test_case "exn-escape subsumes decode-raise" `Quick
             test_exn_escape_subsumes_decode_raise;
+          Alcotest.test_case "exn-escape subsumes decode-partial-match" `Quick
+            test_exn_escape_subsumes_decode_partial_match;
         ] );
       ( "exnflow",
         [

@@ -481,6 +481,36 @@ let test_feed_seek_replays_suffix () =
       | _ -> Alcotest.fail "empty suffix");
       Feed.close f2)
 
+(* The tail parses lines out of its read buffer in place: reading a
+   trace through it must cost about what the batch reader costs, not a
+   copy of the unread buffer per line. *)
+let test_trace_tail_allocates_like_read_channel () =
+  with_tmp "ntmon_alloc_test.trace" (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun r -> output_string oc (Record.to_line r ^ "\n"))
+            (gen_records ~seed:17 8000));
+      let allocated f =
+        let a0 = Gc.allocated_bytes () in
+        let n = f () in
+        (n, Gc.allocated_bytes () -. a0)
+      in
+      let batch_n, batch_b =
+        allocated (fun () ->
+            In_channel.with_open_bin path (fun ic ->
+                Seq.fold_left (fun n _ -> n + 1) 0 (Record.read_channel ic)))
+      in
+      let f = Feed.trace_tail path in
+      let tail_n, tail_b =
+        allocated (fun () ->
+            let rec drain n = match Feed.pull f with `Record _ -> drain (n + 1) | _ -> n in
+            drain 0)
+      in
+      Feed.close f;
+      cki "same records" batch_n tail_n;
+      if tail_b > 2. *. batch_b then
+        Alcotest.failf "tail allocated %.0f bytes, over twice read_channel's %.0f" tail_b batch_b)
+
 (* --- pcap tail --- *)
 
 let sim_pcap system ~seconds =
@@ -969,6 +999,8 @@ let () =
           Alcotest.test_case "tail holds partial lines" `Quick test_trace_tail_partial_lines;
           Alcotest.test_case "truncation reopens" `Quick test_trace_tail_truncation_reopen;
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;
+          Alcotest.test_case "tail allocates like read_channel" `Quick
+            test_trace_tail_allocates_like_read_channel;
           Alcotest.test_case "pcap tail grows in pieces" `Quick test_pcap_tail_grows_in_pieces;
           Alcotest.test_case "pcap tail big-endian nanosecond" `Quick test_pcap_tail_big_endian_ns;
           Alcotest.test_case "pcap tail seek resumes" `Quick test_pcap_tail_seek_resumes;

@@ -803,6 +803,112 @@ let test_iter_trace_cannot_open () =
       Alcotest.(check bool) "one-line cannot-open message" true
         (String.starts_with ~prefix:"cannot open " msg && not (String.contains msg '\n'))
 
+(* A bare path is read by its leading magic, so a tbin saved under any
+   name delivers what the same file named .ntb does; the extension
+   decides only when the content cannot (no magic, or no file yet). *)
+let test_bare_path_sniffs_content () =
+  let records = List.init 300 simple in
+  let encoded =
+    let b = Buffer.create 4096 in
+    let w = Tbin.Writer.create (Buffer.add_string b) in
+    List.iter (Tbin.Writer.add w) records;
+    Tbin.Writer.close w;
+    Buffer.contents b
+  in
+  let read path =
+    let out = ref [] in
+    match Nt_core.Pipeline.iter_trace path (fun r -> out := r :: !out) with
+    | Ok () -> List.rev !out
+    | Error msg -> Alcotest.failf "%s: %s" path msg
+  in
+  let kind path =
+    match Nt_core.Pipeline.source_kind path with
+    | `Text -> "text"
+    | `Tbin -> "tbin"
+    | `Pcap -> "pcap"
+  in
+  let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  with_temp ".ntb" (fun ntb ->
+      with_temp ".bin" (fun bin ->
+          write ntb encoded;
+          write bin encoded;
+          Alcotest.(check string) ".ntb sniffed" "tbin" (kind ntb);
+          Alcotest.(check string) ".bin sniffed" "tbin" (kind bin);
+          if read ntb <> records then Alcotest.fail ".ntb: records changed";
+          if read bin <> read ntb then Alcotest.fail ".bin delivers other records than .ntb";
+          (* every pcap magic: microseconds or nanoseconds, either order *)
+          List.iter
+            (fun magic ->
+              write bin (magic ^ String.make 20 '\000');
+              Alcotest.(check string) "pcap magic sniffed" "pcap" (kind bin))
+            [ "\xd4\xc3\xb2\xa1"; "\xa1\xb2\xc3\xd4"; "\x4d\x3c\xb2\xa1"; "\xa1\xb2\x3c\x4d" ];
+          (match Nt_core.Pipeline.iter_trace bin (fun _ -> ()) with
+          | Ok () -> Alcotest.fail "a pcap read as a trace"
+          | Error msg ->
+              Alcotest.(check bool) "pcap refused in one line" true
+                (String.starts_with ~prefix:"cannot read " msg && not (String.contains msg '\n')));
+          (* no magic: the extension decides *)
+          write ntb "";
+          Alcotest.(check string) "empty .ntb" "tbin" (kind ntb);
+          write bin (Record.to_line (simple 0) ^ "\n");
+          Alcotest.(check string) "text under .bin" "text" (kind bin)));
+  Alcotest.(check string) "absent .pcap" "pcap" (kind "/nonexistent/tail.pcap");
+  Alcotest.(check string) "absent .ntb" "tbin" (kind "/nonexistent/tail.ntb");
+  Alcotest.(check string) "absent, no extension" "text" (kind "/nonexistent/tail")
+
+(* the CLI sits beside this test in the build tree *)
+let run_cli name args ~stdout ~stderr =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name ^ ".exe") in
+  Sys.command (Filename.quote_command exe ~stdout ~stderr args)
+
+(* A malformed text line is skipped and counted, never silently
+   dropped: nfsstats reports it in its summary line and its --metrics
+   snapshot, and the report is the clean trace's. *)
+let test_parse_errors_counted () =
+  let records = simulated_records () in
+  let lines = List.map Record.to_line records in
+  let mid = List.length lines / 2 in
+  let write path ls =
+    Out_channel.with_open_bin path (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) ls)
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  with_temp ".trace" (fun clean ->
+      with_temp ".trace" (fun dirty ->
+          with_temp ".out" (fun out ->
+              with_temp ".err" (fun err ->
+                  with_temp ".json" (fun metrics ->
+                      write clean lines;
+                      write dirty
+                        (List.filteri (fun i _ -> i < mid) lines
+                        @ [ "not a record" ]
+                        @ List.filteri (fun i _ -> i >= mid) lines);
+                      let stats path =
+                        Alcotest.(check int) ("nfsstats exit on " ^ path) 0
+                          (run_cli "nfsstats"
+                             [ "-a"; "summary,runs"; "--metrics=" ^ metrics; path ]
+                             ~stdout:out ~stderr:err);
+                        let parse_errors =
+                          match Nt_obs.Obs.Json.parse (read metrics) with
+                          | Ok v -> Nt_obs.Obs.Json.metric_number v "trace.parse_errors"
+                          | Error e -> Alcotest.failf "metrics do not parse: %s" e
+                        in
+                        (read out, read err, parse_errors)
+                      in
+                      let clean_out, clean_err, clean_errors = stats clean in
+                      let dirty_out, dirty_err, dirty_errors = stats dirty in
+                      let n = List.length records in
+                      Alcotest.(check (option (float 0.)))
+                        "clean: none counted" (Some 0.) clean_errors;
+                      Alcotest.(check (option (float 0.)))
+                        "one bad line, one count" (Some 1.) dirty_errors;
+                      Alcotest.(check string) "same report" clean_out dirty_out;
+                      Alcotest.(check string) "clean summary line"
+                        (Printf.sprintf "nfsstats: %d records loaded\n" n) clean_err;
+                      Alcotest.(check string) "the skip is in the summary line"
+                        (Printf.sprintf
+                           "nfsstats: %d records loaded, 1 unparsable line skipped\n" n)
+                        dirty_err)))))
+
 let test_differential_pcap_leg () =
   (* The capture path: pcap -> records, then those records through the
      text and tbin containers must analyze identically. *)
@@ -887,5 +993,8 @@ let () =
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
           Alcotest.test_case "unopenable source is one error line" `Quick
             test_iter_trace_cannot_open;
+          Alcotest.test_case "bare paths are sniffed by content" `Quick
+            test_bare_path_sniffs_content;
+          Alcotest.test_case "skipped text lines are counted" `Quick test_parse_errors_counted;
         ] );
     ]
