@@ -1403,7 +1403,7 @@ let scale () =
       let ic = open_in_bin path in
       let d = Nt_tbin.Decoder.create ~obs () in
       live_decoder := Some d;
-      let buf = Bytes.create 65536 in
+      let read = input ic in
       let rec drain () =
         match Nt_tbin.Decoder.pull d with
         | Some r ->
@@ -1412,9 +1412,7 @@ let scale () =
         | None -> ()
       in
       let rec loop () =
-        let n = input ic buf 0 (Bytes.length buf) in
-        if n > 0 then begin
-          Nt_tbin.Decoder.feed d (Bytes.sub_string buf 0 n);
+        if Nt_tbin.Decoder.fill d read > 0 then begin
           drain ();
           Nt_obs.Sampler.tick sampler;
           loop ()

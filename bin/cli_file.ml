@@ -1,6 +1,6 @@
 (* The files named on a command line. An unopenable path is one
    "<prog>: cannot open ..." line and exit 1, never an uncaught
-   Sys_error; lines skipped while reading one are noted in the
+   Sys_error; input skipped while reading one is noted in the
    summary. *)
 
 let fail prog msg =
@@ -17,10 +17,13 @@ let input prog path =
 
 let output prog path = try open_out_bin path with Sys_error msg -> fail prog ("cannot open " ^ msg)
 
-(* The stderr summary's note on unparsable text lines the source layer
-   skipped; empty when there were none, so clean runs print as before. *)
+(* The stderr summary's note on input the source layer skipped:
+   unparsable text lines and tbin decode failures. Each part is empty
+   when its count is zero, so clean runs print as before. *)
 let skipped_note obs =
-  match Nt_core.Pipeline.parse_errors obs with
-  | 0 -> ""
-  | 1 -> ", 1 unparsable line skipped"
-  | n -> Printf.sprintf ", %d unparsable lines skipped" n
+  let part n one many =
+    match n with 0 -> "" | 1 -> ", 1 " ^ one | n -> Printf.sprintf ", %d %s" n many
+  in
+  let tbin_failures = Nt_obs.Obs.sum_counter (Nt_obs.Obs.snapshot obs) "tbin.decode_failure" in
+  part (Nt_core.Pipeline.parse_errors obs) "unparsable line skipped" "unparsable lines skipped"
+  ^ part tbin_failures "tbin decode failure" "tbin decode failures"

@@ -34,6 +34,8 @@ let default_config =
         "Nt_trace.Capture.feed_slice";
         "Nt_trace.Capture.feed_pcap";
         "Nt_trace.Capture.finish";
+        "Nt_util.Window.*";
+        "Nt_net.Pcap.Decoder.*";
         "Nt_tbin.Tbin.Decoder.*";
         "Nt_mon.Feed.*";
         "Nt_mon.Checkpoint.*";

@@ -14,6 +14,11 @@
     - [mon.feed.reopens] — truncation-triggered reopens
     - [mon.feed.open_failures] — the path could not be opened (yet)
 
+    All three file feeds are one tail loop over their format: it reads
+    the file with [Unix.read] straight into the format's
+    {!Nt_util.Window}, at the window's input offset. A read of nothing
+    is "nothing yet", never the end of input.
+
     File feeds expose a {e position}: the byte offset such that
     re-reading from it replays exactly the unconsumed suffix. The
     checkpoint stores it, so a kill-9 loses nothing — restore seeks and

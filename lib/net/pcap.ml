@@ -62,6 +62,8 @@ type 'a slice_fn = time:float -> orig_len:int -> string -> pos:int -> len:int ->
 let copy_packet ~time ~orig_len s ~pos ~len = { time; orig_len; data = String.sub s pos len }
 
 module Decoder = struct
+  module Window = Nt_util.Window
+
   type 'a step = Packet of 'a | Await | End | Bad of string
 
   type phase =
@@ -71,13 +73,10 @@ module Decoder = struct
     | Candidate  (* salvaging: [pos] holds a plausible header awaiting validation *)
     | Refused of string  (* the file header was bad: nothing until a reset *)
 
-  (* One byte window: [buf.[pos..lim)] is fed but unconsumed, [buf.[0]]
-     sits at stream offset [base]. Loss counts live on the obs registry. *)
+  (* Bytes are parsed where they sit in the window; loss counts live on
+     the obs registry. *)
   type t = {
-    mutable buf : Bytes.t;
-    mutable pos : int;
-    mutable lim : int;
-    mutable base : int;
+    w : Window.t;
     mutable eof : bool;
     mutable phase : phase;
     mutable resume : int;  (* stream offset where records resume after the file header *)
@@ -98,10 +97,7 @@ module Decoder = struct
     let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
     let counter help name = Nt_obs.Obs.counter obs ~help name in
     {
-      buf = Bytes.create 65536;
-      pos = 0;
-      lim = 0;
-      base = 0;
+      w = Window.create ();
       eof = false;
       phase = Global_header;
       resume = 0;
@@ -120,45 +116,18 @@ module Decoder = struct
       c_truncated = counter "captures that ended mid-record" "capture.truncated_tails";
     }
 
-  (* Make room for [n] more bytes past [lim]: slide the unconsumed
-     bytes to the front, growing the window when they would not fit. *)
-  let reserve d n =
-    let cap = Bytes.length d.buf in
-    if d.lim + n > cap then begin
-      let live = d.lim - d.pos in
-      let buf = if live + n > cap then Bytes.create (max (2 * cap) (live + n)) else d.buf in
-      Bytes.blit d.buf d.pos buf 0 live;
-      d.buf <- buf;
-      d.base <- d.base + d.pos;
-      d.pos <- 0;
-      d.lim <- live
-    end
-
-  let feed d s =
-    let n = String.length s in
-    reserve d n;
-    Bytes.blit_string s 0 d.buf d.lim n;
-    d.lim <- d.lim + n
-
-  let fill d input =
-    reserve d 65536;
-    match input d.buf d.lim (Bytes.length d.buf - d.lim) with
-    | 0 -> d.eof <- true
-    | n -> d.lim <- d.lim + n
-
+  let fill d input = Window.fill d.w input
   let finish d = d.eof <- true
 
   let reset_at d off =
-    d.pos <- 0;
-    d.lim <- 0;
-    d.base <- 0;
+    Window.reset_at d.w 0L;
     d.eof <- false;
     d.phase <- Global_header;
     d.resume <- Int64.to_int off;
     d.last_sec <- 0
 
-  let consumed d = Int64.of_int (d.base + d.pos)
-  let input_offset d = Int64.of_int (d.base + d.lim)
+  let consumed d = Window.consumed d.w
+  let input_offset d = Window.input_offset d.w
   let damage d = d.damage
 
   let stats d =
@@ -171,7 +140,8 @@ module Decoder = struct
     }
 
   let u32 d off =
-    let v = if d.big_endian then Bytes.get_int32_be d.buf off else Bytes.get_int32_le d.buf off in
+    let buf = d.w.buf in
+    let v = if d.big_endian then Bytes.get_int32_be buf off else Bytes.get_int32_le buf off in
     Int32.to_int v land 0xFFFF_FFFF
 
   let plausible d p =
@@ -193,8 +163,9 @@ module Decoder = struct
   (* The input ended inside a record or a corrupt region: everything
      left is skipped and the capture is flagged as cut off. *)
   let cut_tail d =
-    Nt_obs.Obs.add d.c_skipped (d.lim - d.pos);
-    d.pos <- d.lim;
+    let left = Window.length d.w in
+    Nt_obs.Obs.add d.c_skipped left;
+    Window.consume d.w left;
     if not d.truncated_tail then begin
       d.truncated_tail <- true;
       Nt_obs.Obs.inc d.c_truncated
@@ -204,29 +175,26 @@ module Decoder = struct
   (* Learn byte order and tick unit; [None] once the header is in.
      After [reset_at d off] the window then jumps to [off]. *)
   let global_header d =
-    if d.lim - d.pos < global_header_len then
+    if Window.length d.w < global_header_len then
       if d.eof then Some (refuse d "missing global header") else Some Await
     else begin
       let magic big_endian =
         d.big_endian <- big_endian;
-        u32 d d.pos
+        u32 d d.w.pos
       in
       let known m = m = magic_us || m = magic_ns in
       let m = magic true in
       let m = if known m then m else magic false in
-      let linktype = u32 d (d.pos + 20) in
+      let linktype = u32 d (d.w.pos + 20) in
       if not (known m) then Some (refuse d "bad magic number")
       else if linktype <> linktype_ethernet then
         Some (refuse d (Printf.sprintf "unsupported linktype %d" linktype))
       else begin
         d.nanosecond <- m = magic_ns;
         d.phase <- Records;
-        d.pos <- d.pos + global_header_len;
-        if d.resume > d.base + d.pos then begin
-          d.base <- d.resume;
-          d.pos <- 0;
-          d.lim <- 0
-        end;
+        Window.consume d.w global_header_len;
+        if d.resume > Int64.to_int (Window.consumed d.w) then
+          Window.reset_at d.w (Int64.of_int d.resume);
         None
       end
     end
@@ -234,10 +202,10 @@ module Decoder = struct
   (* The decoder's state moves past the record before [f] runs, so
      [consumed] already counts it when [f]'s callees read it. *)
   let accept d ~salvaged f =
-    let p = d.pos in
+    let p = d.w.pos in
     let sec = u32 d p and frac = u32 d (p + 4) and incl = u32 d (p + 8) in
     let orig_len = u32 d (p + 12) in
-    d.pos <- p + record_header_len + incl;
+    Window.consume d.w (record_header_len + incl);
     d.phase <- Records;
     d.last_sec <- sec;
     Nt_obs.Obs.inc d.c_records;
@@ -246,18 +214,19 @@ module Decoder = struct
     let time = Float.of_int sec +. (Float.of_int frac *. scale) in
     (* The one place the window escapes as a string. The rule for every
        slice handed on from here: it is valid only during the callback,
-       since the next feed or refill reuses the window in place, and
-       anything kept past the callback is copied. *)
-    Packet (f ~time ~orig_len (Bytes.unsafe_to_string d.buf) ~pos:(p + record_header_len) ~len:incl)
+       since the next refill reuses the window in place, and anything
+       kept past the callback is copied. *)
+    let window = Bytes.unsafe_to_string d.w.buf in
+    Packet (f ~time ~orig_len window ~pos:(p + record_header_len) ~len:incl)
 
   (* Slide the 16-byte window one byte at a time looking for the next
      plausible record header; every byte slid past is counted. *)
   let rec scan d f =
-    if d.lim - d.pos <= record_header_len then if d.eof then cut_tail d else Await
+    if d.w.lim - d.w.pos <= record_header_len then if d.eof then cut_tail d else Await
     else begin
-      d.pos <- d.pos + 1;
+      Window.consume d.w 1;
       Nt_obs.Obs.inc d.c_skipped;
-      if plausible d d.pos then begin
+      if plausible d d.w.pos then begin
         Nt_obs.Obs.inc d.c_resyncs;
         d.phase <- Candidate;
         candidate d f
@@ -272,8 +241,8 @@ module Decoder = struct
      payloads can parse as headers with large lengths and would swallow
      real records); a rejected candidate resumes the scan one byte on. *)
   and candidate d f =
-    let next = d.pos + record_header_len + u32 d (d.pos + 8) in
-    let room = d.lim - next in
+    let next = d.w.pos + record_header_len + u32 d (d.w.pos + 8) in
+    let room = d.w.lim - next in
     if room < record_header_len && not d.eof then Await
     else if room >= 0 && (room < record_header_len || plausible d next) then
       accept d ~salvaged:true f
@@ -284,13 +253,13 @@ module Decoder = struct
     scan d f
 
   let record d f =
-    let avail = d.lim - d.pos in
+    let avail = d.w.lim - d.w.pos in
     if avail < record_header_len then
       if not d.eof then Await else if avail > 0 then cut_tail d else End
     else
-      let incl = u32 d (d.pos + 8) in
+      let incl = u32 d (d.w.pos + 8) in
       (* without salvage only a length past 64 MiB is absurd *)
-      if incl <= 0x4000000 && ((not d.salvage) || plausible d d.pos) then
+      if incl <= 0x4000000 && ((not d.salvage) || plausible d d.w.pos) then
         if avail < record_header_len + incl then if d.eof then cut_tail d else Await
         else accept d ~salvaged:false f
       else if not d.salvage then Bad "absurd packet length"
@@ -306,23 +275,24 @@ module Decoder = struct
     | Candidate -> candidate d f
     | Refused msg ->
         (* nothing of a refused file is decodable: keep the window empty *)
-        d.pos <- d.lim;
+        Window.consume d.w (Window.length d.w);
         Bad msg
     | Global_header -> ( match global_header d with Some step -> step | None -> next_slice d f)
-
-  let next d = next_slice d copy_packet
 end
 
 (* A reader drives the decoder to the end of one input, refilling from
-   [input] whenever it awaits bytes. *)
+   [input] whenever it awaits bytes; here, unlike on a tail, a read of
+   nothing is the end of input. *)
 type reader = { dec : Decoder.t; input : Bytes.t -> int -> int -> int }
+
+let refill r = if Decoder.fill r.dec r.input = 0 then Decoder.finish r.dec
 
 let rec start r =
   match Decoder.global_header r.dec with
   | None -> r
   | Some (Decoder.Bad msg) -> raise (Bad_format msg)
   | Some _ ->
-      Decoder.fill r.dec r.input;
+      refill r;
       start r
 
 let reader_of_string ?obs ?salvage s =
@@ -348,7 +318,7 @@ let rec pull r f =
   | Decoder.End -> None
   | Decoder.Bad msg -> raise (Bad_format msg)
   | Decoder.Await ->
-      Decoder.fill r.dec r.input;
+      refill r;
       pull r f
 
 let rec iter r f = match pull r f with Some () -> iter r f | None -> ()

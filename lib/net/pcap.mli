@@ -10,9 +10,9 @@
     linktype EN10MB.
 
     The format is parsed only by {!Decoder}. The readers below drive it
-    to the end of a string or channel; nfsmon's pcap tail feeds it bytes
-    as the capture grows, always salvaging, since a live feed must never
-    raise. *)
+    to the end of a string or channel; nfsmon's pcap tail fills it from
+    the file as the capture grows, always salvaging, since a live feed
+    must never raise. *)
 
 type packet = { time : float; orig_len : int; data : string }
 (** [data] may be shorter than [orig_len] when the capture snapped. *)
@@ -42,17 +42,16 @@ type 'a slice_fn = time:float -> orig_len:int -> string -> pos:int -> len:int ->
 (** Receives one packet as a slice: its captured bytes are
     [s.[pos .. pos + len)] of the decoder's window. {b The slice is valid
     only during the call}: the window is reused in place by the next
-    feed or refill, so anything kept past the call must be copied. *)
+    refill, so anything kept past the call must be copied. *)
 
 module Decoder : sig
-  (** Feed byte chunks of any size, pull packets. Bytes land in one
-      window, compacted or grown as it refills, and packets are handed
-      out as slices of it, so nothing is copied per record. Only after
-      {!finish} does a record cut by the end of input count as a
-      truncated tail. With salvage, a corrupt record header is scanned
-      past one byte at a time to the next plausible header (lengths
-      within 1 MiB) whose payload ends at another one or at the end of
-      input. *)
+  (** Fill byte chunks of any size, pull packets. Bytes land in one
+      {!Nt_util.Window}, and packets are handed out as slices of it,
+      so nothing is copied per record. Only after {!finish} does a
+      record cut by the end of input count as a truncated tail. With
+      salvage, a corrupt record header is scanned past one byte at a
+      time to the next plausible header (lengths within 1 MiB) whose
+      payload ends at another one or at the end of input. *)
 
   type t
 
@@ -66,7 +65,12 @@ module Decoder : sig
   (** [salvage] defaults to false. [obs] (default: a private registry)
       hosts the [capture.*] loss counters that {!stats} reads back. *)
 
-  val feed : t -> string -> unit
+  val fill : t -> (Bytes.t -> int -> int -> int) -> int
+  (** Read once into the decoder's window ({!Nt_util.Window.fill}) and
+      return the count. A count of 0 is not the end of input — a tail
+      gets it whenever the file has not grown — so only {!finish} ends
+      the stream. *)
+
   val finish : t -> unit
 
   val next_slice : t -> 'a slice_fn -> 'a step
@@ -74,18 +78,15 @@ module Decoder : sig
       function, whose result is returned as [Packet]. The decoder has
       already moved past the record when the function runs. *)
 
-  val next : t -> packet step
-  (** {!next_slice} with the packet copied out. *)
-
   val reset_at : t -> int64 -> unit
-  (** Expect a global header again (feed the file from 0), then jump
+  (** Expect a global header again (fill from file offset 0), then jump
       {!input_offset} to stream offset [off]. Counters accumulate. *)
 
   val consumed : t -> int64
   (** Stream offset past the last [Packet]'s record. *)
 
   val input_offset : t -> int64
-  (** Stream offset the next fed byte is taken to sit at. *)
+  (** Stream offset the next byte read in is taken to sit at. *)
 
   val damage : t -> int
   (** Corrupt regions entered plus refused global headers. *)

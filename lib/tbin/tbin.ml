@@ -643,12 +643,15 @@ let encode_string ?frame_records records =
 (* {2 Decoder} *)
 
 module Decoder = struct
+  module Window = Nt_util.Window
+
+  (* Frames are parsed where they sit in the window: an uncompressed
+     payload is decoded in place, and only its atoms are copied out. *)
   type t = {
-    mutable pending : string;
+    w : Window.t;
     mutable header_ok : bool;
     mutable resyncing : bool;
     mutable finished : bool;
-    mutable consumed : int64;
     queue : (Record.t * int64) Queue.t;
     mutable n_frames : int;
     mutable n_records : int;
@@ -675,11 +678,10 @@ module Decoder = struct
         ~help:"tbin stream decode failures, by class" "tbin.decode_failure"
     in
     {
-      pending = "";
+      w = Window.create ();
       header_ok = false;
       resyncing = false;
       finished = false;
-      consumed = 0L;
       queue = Queue.create ();
       n_frames = 0;
       n_records = 0;
@@ -701,35 +703,25 @@ module Decoder = struct
       c_trunc = fail "truncated-tail";
     }
 
-  let drop t n =
-    t.pending <- String.sub t.pending n (String.length t.pending - n);
-    t.consumed <- Int64.add t.consumed (Int64.of_int n)
-
   let skip t n =
     if n > 0 then begin
       t.n_skipped <- t.n_skipped + n;
       Obs.add t.c_skipped n;
-      drop t n
+      Window.consume t.w n
     end
 
-  let le32 s off =
-    Char.code (String.unsafe_get s off)
-    lor (Char.code (String.unsafe_get s (off + 1)) lsl 8)
-    lor (Char.code (String.unsafe_get s (off + 2)) lsl 16)
-    lor (Char.code (String.unsafe_get s (off + 3)) lsl 24)
+  let le32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 
-  let sync_at s i =
-    Char.equal (String.unsafe_get s i) '\xf5'
-    && Char.equal (String.unsafe_get s (i + 1)) 'N'
-    && Char.equal (String.unsafe_get s (i + 2)) 'T'
-    && Char.equal (String.unsafe_get s (i + 3)) '\xb1'
+  (* [sync] read as a little-endian u32 *)
+  let sync_at b i = Int32.equal (Bytes.get_int32_le b i) 0xB1544EF5l
 
-  (* index of the first sync marker at or after [from], or -1 *)
-  let find_sync s from =
-    let last = String.length s - sync_len in
-    let i = ref from and found = ref (-1) in
+  (* distance from the window's first live byte to the first sync
+     marker at least [from] bytes in, or -1 *)
+  let find_sync (w : Window.t) from =
+    let last = w.lim - sync_len in
+    let i = ref (w.pos + from) and found = ref (-1) in
     while !found < 0 && !i <= last do
-      if sync_at s !i then found := !i else incr i
+      if sync_at w.buf !i then found := !i - w.pos else incr i
     done;
     !found
 
@@ -745,11 +737,12 @@ module Decoder = struct
     t.resyncing <- true;
     skip t 1
 
-  let decode_payload t raw ~frame_start ~frame_end =
+  (* Decode the payload [raw.[pos .. pos + len)]. *)
+  let decode_payload t raw ~pos ~len ~frame_start ~frame_end =
     t.n_frames <- t.n_frames + 1;
     Obs.inc t.c_frames;
     try
-      let c = V.cursor raw in
+      let c = { V.s = raw; pos; limit = pos + len } in
       let atoms = load_atoms c in
       let count = V.read_uv c in
       if count < 0 then raise V.Corrupt;
@@ -767,11 +760,11 @@ module Decoder = struct
       Obs.inc t.c_bad_record
 
   let rec parse t =
-    let len = String.length t.pending in
+    let w = t.w in
+    let len = Window.length w and b = w.buf and p = w.pos in
     if not t.header_ok then begin
       if len >= magic_len then begin
-        if String.equal (String.sub t.pending 0 magic_len) magic then
-          drop t magic_len
+        if String.equal (Bytes.sub_string b p magic_len) magic then Window.consume w magic_len
         else begin
           t.n_missing <- t.n_missing + 1;
           Obs.inc t.c_missing;
@@ -781,12 +774,12 @@ module Decoder = struct
         parse t
       end
     end
-    else if len >= sync_len && sync_at t.pending 0 then begin
+    else if len >= sync_len && sync_at b p then begin
       if len >= header_len then begin
-        let flags = Char.code (String.unsafe_get t.pending sync_len) in
-        let raw_len = le32 t.pending (sync_len + 1) in
-        let stored_len = le32 t.pending (sync_len + 5) in
-        let sum = le32 t.pending (sync_len + 9) in
+        let flags = Char.code (Bytes.unsafe_get b (p + sync_len)) in
+        let raw_len = le32 b (p + sync_len + 1) in
+        let stored_len = le32 b (p + sync_len + 5) in
+        let sum = le32 b (p + sync_len + 9) in
         let shape_ok =
           flags land lnot flag_compressed = 0
           && raw_len >= 0 && raw_len <= max_payload
@@ -798,27 +791,25 @@ module Decoder = struct
           parse t
         end
         else if len >= header_len + stored_len then begin
+          (* the window is not refilled before the payload is decoded,
+             so the in-place string stays valid for that long *)
+          let s = Bytes.unsafe_to_string b and at = p + header_len in
           match
-            let raw =
-              if flags land flag_compressed <> 0 then
-                Frame.decompress t.pending ~pos:header_len ~len:stored_len
-                  ~expect:raw_len
-              else String.sub t.pending header_len stored_len
-            in
-            if Frame.adler32 raw ~pos:0 ~len:raw_len <> sum then raise V.Corrupt;
-            raw
+            if flags land flag_compressed = 0 then (s, at)
+            else (Frame.decompress s ~pos:at ~len:stored_len ~expect:raw_len, 0)
           with
           | exception V.Corrupt ->
               frame_damaged t;
               parse t
-          | raw ->
-              let frame_start = t.consumed in
-              let frame_end =
-                Int64.add t.consumed (Int64.of_int (header_len + stored_len))
-              in
-              drop t (header_len + stored_len);
+          | raw, pos when Frame.adler32 raw ~pos ~len:raw_len <> sum ->
+              frame_damaged t;
+              parse t
+          | raw, pos ->
+              let frame_start = Window.consumed w in
+              let frame_end = Int64.add frame_start (Int64.of_int (header_len + stored_len)) in
               t.resyncing <- false;
-              decode_payload t raw ~frame_start ~frame_end;
+              decode_payload t raw ~pos ~len:raw_len ~frame_start ~frame_end;
+              Window.consume w (header_len + stored_len);
               parse t
         end
         (* else: wait for the rest of the frame *)
@@ -833,7 +824,7 @@ module Decoder = struct
         Obs.inc t.c_lost;
         t.resyncing <- true
       end;
-      let at = find_sync t.pending 1 in
+      let at = find_sync w 1 in
       if at >= 0 then begin
         skip t at;
         parse t
@@ -847,9 +838,16 @@ module Decoder = struct
 
   let feed t chunk =
     if (not t.finished) && String.length chunk > 0 then begin
-      t.pending <-
-        (if String.length t.pending = 0 then chunk else t.pending ^ chunk);
+      Window.feed t.w chunk;
       parse t
+    end
+
+  let fill t input =
+    if t.finished then 0
+    else begin
+      let n = Window.fill t.w input in
+      if n > 0 then parse t;
+      n
     end
 
   let next t = Queue.take_opt t.queue
@@ -860,7 +858,7 @@ module Decoder = struct
   let finish t =
     if not t.finished then begin
       t.finished <- true;
-      let len = String.length t.pending in
+      let len = Window.length t.w in
       if len > 0 then begin
         if not t.header_ok then begin
           (* stream ended inside the magic itself *)
@@ -877,14 +875,14 @@ module Decoder = struct
     end
 
   let reset_at t off =
-    t.pending <- "";
+    Window.reset_at t.w off;
     Queue.clear t.queue;
-    t.consumed <- off;
     t.header_ok <- Int64.compare off 0L > 0;
     t.resyncing <- false;
     t.finished <- false
 
-  let consumed t = t.consumed
+  let consumed t = Window.consumed t.w
+  let input_offset t = Window.input_offset t.w
 
   let stats t =
     {
@@ -900,17 +898,14 @@ module Decoder = struct
 
   let footprint t =
     let queued = Queue.length t.queue in
-    Nt_obs.Footprint.v ~cards:queued
-      ~words:((String.length t.pending / 8) + (queued * 32))
+    Nt_obs.Footprint.v ~cards:queued ~words:((Window.length t.w / 8) + (queued * 32))
 end
 
 (* {2 Whole-stream helpers} *)
 
-let chunk_size = 65536
-
 let iter_channel ?obs ic f =
   let d = Decoder.create ?obs () in
-  let buf = Bytes.create chunk_size in
+  let read = input ic in
   let rec drain () =
     match Decoder.pull d with
     | Some r ->
@@ -919,10 +914,8 @@ let iter_channel ?obs ic f =
     | None -> ()
   in
   let rec loop () =
-    let n = input ic buf 0 chunk_size in
-    if n = 0 then Decoder.finish d
+    if Decoder.fill d read = 0 then Decoder.finish d
     else begin
-      Decoder.feed d (Bytes.sub_string buf 0 n);
       drain ();
       loop ()
     end

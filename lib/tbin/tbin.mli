@@ -76,8 +76,10 @@ val encode_string : ?frame_records:int -> Nt_trace.Record.t list -> string
 (** {1 Reading} *)
 
 module Decoder : sig
-  (** Incremental push decoder: feed byte chunks of any size (one byte
-      at a time works), pull decoded records. Failures are counted on
+  (** Incremental push decoder: feed or fill byte chunks of any size
+      (one byte at a time works), pull decoded records. The bytes land
+      in one {!Nt_util.Window} and every complete frame is decoded
+      there, an uncompressed payload in place. Failures are counted on
       the registry ([tbin.*] namespace), never raised. *)
 
   type t
@@ -85,6 +87,11 @@ module Decoder : sig
   val create : ?obs:Nt_obs.Obs.t -> unit -> t
 
   val feed : t -> string -> unit
+
+  val fill : t -> (Bytes.t -> int -> int -> int) -> int
+  (** Read once into the decoder's window ({!Nt_util.Window.fill}),
+      decode what completed, and return the count. A count of 0 is not
+      the end of the stream; only {!finish} is. *)
 
   val next : t -> (Nt_trace.Record.t * int64) option
   (** Next record plus its replay offset: the end of its frame for the
@@ -106,6 +113,9 @@ module Decoder : sig
 
   val consumed : t -> int64
   (** Stream offset of the next unparsed byte. *)
+
+  val input_offset : t -> int64
+  (** Stream offset the next byte read in is taken to sit at. *)
 
   val stats : t -> stats
 

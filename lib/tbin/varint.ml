@@ -2,7 +2,7 @@ exception Corrupt
 
 type cursor = { s : string; mutable pos : int; limit : int }
 
-let cursor ?(pos = 0) s = { s; pos; limit = String.length s }
+let cursor s = { s; pos = 0; limit = String.length s }
 
 let u8 c =
   if c.pos >= c.limit then raise Corrupt;

@@ -19,8 +19,8 @@ type cursor = { s : string; mutable pos : int; limit : int }
 (** Read position into an immutable payload slice; [limit] is
     exclusive. *)
 
-val cursor : ?pos:int -> string -> cursor
-(** A cursor at [pos] (default 0) whose [limit] is the string's end. *)
+val cursor : string -> cursor
+(** A cursor over the whole string. *)
 
 val u8 : cursor -> int
 (** One raw byte; raises {!Corrupt} past [limit]. *)

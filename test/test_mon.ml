@@ -511,6 +511,35 @@ let test_trace_tail_allocates_like_read_channel () =
       if tail_b > 2. *. batch_b then
         Alcotest.failf "tail allocated %.0f bytes, over twice read_channel's %.0f" tail_b batch_b)
 
+(* The same bound for the tbin tail against the batch decoder, over
+   frames that span several reads. *)
+let test_tbin_tail_allocates_like_iter_channel () =
+  with_tmp "ntmon_alloc_test.ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          ignore (Nt_tbin.write_channel oc (List.to_seq (gen_records ~seed:17 20_000)) : int));
+      let allocated f =
+        let a0 = Gc.allocated_bytes () in
+        let n = f () in
+        (n, Gc.allocated_bytes () -. a0)
+      in
+      let batch_n, batch_b =
+        allocated (fun () ->
+            let n = ref 0 in
+            In_channel.with_open_bin path (fun ic ->
+                ignore (Nt_tbin.iter_channel ic (fun _ -> incr n) : Nt_tbin.stats));
+            !n)
+      in
+      let f = Feed.tbin_tail path in
+      let tail_n, tail_b =
+        allocated (fun () ->
+            let rec drain n = match Feed.pull f with `Record _ -> drain (n + 1) | _ -> n in
+            drain 0)
+      in
+      Feed.close f;
+      cki "same records" batch_n tail_n;
+      if tail_b > 2. *. batch_b then
+        Alcotest.failf "tail allocated %.0f bytes, over twice iter_channel's %.0f" tail_b batch_b)
+
 (* --- pcap tail --- *)
 
 let sim_pcap system ~seconds =
@@ -1001,6 +1030,8 @@ let () =
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;
           Alcotest.test_case "tail allocates like read_channel" `Quick
             test_trace_tail_allocates_like_read_channel;
+          Alcotest.test_case "tbin tail allocates like iter_channel" `Quick
+            test_tbin_tail_allocates_like_iter_channel;
           Alcotest.test_case "pcap tail grows in pieces" `Quick test_pcap_tail_grows_in_pieces;
           Alcotest.test_case "pcap tail big-endian nanosecond" `Quick test_pcap_tail_big_endian_ns;
           Alcotest.test_case "pcap tail seek resumes" `Quick test_pcap_tail_seek_resumes;

@@ -328,21 +328,27 @@ let via_channel ~salvage s =
       Out_channel.with_open_bin path (fun oc -> output_string oc s);
       In_channel.with_open_bin path (fun ic -> via_reader (Pcap.reader_of_channel ~salvage ic)))
 
+let copy_packet ~time ~orig_len s ~pos ~len = { Pcap.time; orig_len; data = String.sub s pos len }
+
 let via_bytes ~salvage s =
   let d = Pcap.Decoder.create ~salvage () in
   let fed = ref 0 in
+  let one_byte b off _len =
+    if !fed >= String.length s then 0
+    else begin
+      Bytes.set b off s.[!fed];
+      incr fed;
+      1
+    end
+  in
   read_all (fun () ->
       let rec step () =
-        match Pcap.Decoder.next d with
+        match Pcap.Decoder.next_slice d copy_packet with
         | Pcap.Decoder.Packet p -> `Packet p
         | Pcap.Decoder.End -> `Done (Pcap.Decoder.stats d)
         | Pcap.Decoder.Bad msg -> `Bad msg
         | Pcap.Decoder.Await ->
-            if !fed < String.length s then begin
-              Pcap.Decoder.feed d (String.make 1 s.[!fed]);
-              incr fed
-            end
-            else Pcap.Decoder.finish d;
+            if Pcap.Decoder.fill d one_byte = 0 then Pcap.Decoder.finish d;
             step ()
       in
       step ())
@@ -351,9 +357,7 @@ let via_bytes ~salvage s =
 let via_iter ~salvage s =
   let r = Pcap.reader_of_string ~salvage s in
   let acc = ref [] in
-  let copy ~time ~orig_len s ~pos ~len =
-    acc := { Pcap.time; orig_len; data = String.sub s pos len } :: !acc
-  in
+  let copy ~time ~orig_len s ~pos ~len = acc := copy_packet ~time ~orig_len s ~pos ~len :: !acc in
   let ending =
     match Pcap.iter r copy with
     | () -> Ok (Pcap.read_stats r)

@@ -909,6 +909,84 @@ let test_parse_errors_counted () =
                            "nfsstats: %d records loaded, 1 unparsable line skipped\n" n)
                         dirty_err)))))
 
+(* A damaged tbin is noted too: a flipped byte and a cut-off tail each
+   cost one decode failure, which nfsstats names in its summary line
+   beside the records that still loaded. *)
+let test_decode_failures_noted () =
+  let records = simulated_records () in
+  let encoded = Tbin.encode_string ~frame_records:64 records in
+  let flipped =
+    let b = Bytes.of_string encoded in
+    let at = Bytes.length b / 2 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+    Bytes.to_string b
+  in
+  let cut = String.sub encoded 0 (String.length encoded * 2 / 3) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  with_temp ".ntb" (fun ntb ->
+      with_temp ".out" (fun out ->
+          with_temp ".err" (fun err ->
+              let summary bytes =
+                Out_channel.with_open_bin ntb (fun oc -> output_string oc bytes);
+                Alcotest.(check int) "nfsstats exit" 0
+                  (run_cli "nfsstats" [ "-a"; "summary"; ntb ] ~stdout:out ~stderr:err);
+                read err
+              in
+              Alcotest.(check string) "clean summary line"
+                (Printf.sprintf "nfsstats: %d records loaded\n" (List.length records))
+                (summary encoded);
+              List.iter
+                (fun (name, bytes) ->
+                  let stats, loaded = Tbin.decode_string bytes in
+                  Alcotest.(check int) (name ^ ": one failure") 1 (Tbin.failures stats);
+                  Alcotest.(check string) (name ^ ": the failure is in the summary line")
+                    (Printf.sprintf "nfsstats: %d records loaded, 1 tbin decode failure\n"
+                       (List.length loaded))
+                    (summary bytes))
+                [ ("flipped", flipped); ("truncated", cut) ])))
+
+(* Words allocated straight on the major heap by [f] — blocks too big
+   for the minor heap, such as copies of a whole frame — leaving out
+   the records promoted from the minor heap. The minor heap is emptied
+   first, so nothing allocated before [f] is promoted during it. *)
+let direct_major_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  Gc.minor ();
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* Frames are decoded where they sit in the decoder's window, so
+   streaming a tbin whose frames span several 64 KiB reads copies no
+   frame; a decoder that copied each frame once per read would spend
+   several bytes per input byte. What is left is the window's growth
+   to the largest frame. *)
+let test_decode_alloc_guard () =
+  let base = simulated_records () in
+  let rec grow acc n = if n >= 60_000 then acc else grow (base @ acc) (n + List.length base) in
+  let records = grow [] 0 in
+  with_temp ".ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          ignore (Tbin.write_channel oc (List.to_seq records) : int));
+      let bytes = (Unix.stat path).Unix.st_size in
+      let stats = ref None in
+      let words =
+        direct_major_words (fun () ->
+            In_channel.with_open_bin path (fun ic ->
+                stats := Some (Tbin.iter_channel ic (fun _ -> ()))))
+      in
+      let stats = Option.get !stats in
+      Alcotest.(check int) "every record" (List.length records) stats.Tbin.records;
+      Alcotest.(check bool) "several frames, each over one read" true
+        (stats.Tbin.frames >= 3 && bytes / stats.Tbin.frames > 65536);
+      let per_byte = words *. float_of_int (Sys.word_size / 8) /. float_of_int bytes in
+      if per_byte > 0.5 then
+        Alcotest.failf "tbin decode allocated %.3f B per input byte on the major heap, above 0.5"
+          per_byte)
+
 let test_differential_pcap_leg () =
   (* The capture path: pcap -> records, then those records through the
      text and tbin containers must analyze identically. *)
@@ -971,6 +1049,7 @@ let () =
           Alcotest.test_case "writer flush keeps the stream appendable" `Quick
             test_writer_flush_appendable;
           Alcotest.test_case "decoder mirrors stats onto obs" `Quick test_obs_mirror;
+          Alcotest.test_case "streaming copies no frame" `Quick test_decode_alloc_guard;
         ] );
       ( "corruption",
         [
@@ -996,5 +1075,6 @@ let () =
           Alcotest.test_case "bare paths are sniffed by content" `Quick
             test_bare_path_sniffs_content;
           Alcotest.test_case "skipped text lines are counted" `Quick test_parse_errors_counted;
+          Alcotest.test_case "tbin decode failures are noted" `Quick test_decode_failures_noted;
         ] );
     ]

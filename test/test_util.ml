@@ -1,5 +1,6 @@
 (* Unit and property tests for Nt_util: PRNG, distributions, statistics,
-   histograms, trace-week calendar and table rendering. *)
+   histograms, trace-week calendar, the heap, the byte window and table
+   rendering. *)
 
 module Prng = Nt_util.Prng
 module Dist = Nt_util.Dist
@@ -7,6 +8,7 @@ module Stats = Nt_util.Stats
 module Histogram = Nt_util.Histogram
 module Tw = Nt_util.Trace_week
 module Tables = Nt_util.Tables
+module Window = Nt_util.Window
 
 let check = Alcotest.check
 let checkf msg = check (Alcotest.float 1e-9) msg
@@ -397,6 +399,85 @@ let prop_heap_stable_order =
       let drained = List.init (Heap.length h) (fun _ -> Heap.pop h) in
       !ok && drained = expected && Heap.is_empty h)
 
+(* --- byte window --- *)
+
+type window_op =
+  | W_feed of string
+  | W_fill of int * int  (* bytes offered, first byte's value *)
+  | W_consume of int  (* per mille of the live bytes *)
+  | W_reset of int
+
+(* [n] bytes that differ from their neighbours, so a slip shows *)
+let pattern n c = String.init n (fun i -> Char.chr ((c + (7 * i)) land 255))
+
+let window_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map2 (fun n c -> W_feed (pattern n c)) (0 -- 5000) (0 -- 255));
+        (3, map2 (fun n c -> W_fill (n, c)) (oneof [ return 0; 1 -- 70_000 ]) (0 -- 255));
+        (3, map (fun p -> W_consume p) (0 -- 1000));
+        (1, map (fun off -> W_reset off) (0 -- 1_000_000));
+      ])
+
+let window_op_print = function
+  | W_feed s -> Printf.sprintf "feed %d" (String.length s)
+  | W_fill (n, c) -> Printf.sprintf "fill %d/%d" n c
+  | W_consume p -> Printf.sprintf "consume %d/1000" p
+  | W_reset off -> Printf.sprintf "reset_at %d" off
+
+(* Random feeds, fills of 0..70k bytes, consumes and resets against a
+   plain-string model: the live bytes and both stream offsets must
+   match after every step, past the initial 64 KiB as well. *)
+let prop_window_model =
+  QCheck.Test.make ~name:"window matches a string model" ~count:200
+    QCheck.(
+      make
+        ~print:Print.(list window_op_print)
+        Gen.(list_size (0 -- 40) window_op_gen))
+    (fun ops ->
+      let w = Window.create () in
+      let live = ref "" and consumed = ref 0 in
+      let step op =
+        (match op with
+        | W_feed s ->
+            Window.feed w s;
+            live := !live ^ s
+        | W_fill (n, c) ->
+            let offered = pattern n c in
+            let got =
+              Window.fill w (fun b off len ->
+                  let k = min n len in
+                  Bytes.blit_string offered 0 b off k;
+                  k)
+            in
+            live := !live ^ String.sub offered 0 got
+        | W_consume p ->
+            let n = String.length !live * p / 1000 in
+            Window.consume w n;
+            live := String.sub !live n (String.length !live - n);
+            consumed := !consumed + n
+        | W_reset off ->
+            Window.reset_at w (Int64.of_int off);
+            live := "";
+            consumed := off);
+        Bytes.sub_string w.Window.buf w.Window.pos (Window.length w) = !live
+        && Window.consumed w = Int64.of_int !consumed
+        && Int64.sub (Window.input_offset w) (Window.consumed w)
+           = Int64.of_int (String.length !live)
+      in
+      List.for_all step ops)
+
+let test_window_empty_fill () =
+  let w = Window.create () in
+  Window.feed w "abc";
+  Window.consume w 1;
+  let n = Window.fill w (fun _ _ _ -> 0) in
+  Alcotest.(check int) "nothing read" 0 n;
+  Alcotest.(check string) "live bytes kept" "bc" (Bytes.sub_string w.Window.buf w.Window.pos 2);
+  Alcotest.(check int64) "consumed" 1L (Window.consumed w);
+  Alcotest.(check int64) "input offset" 3L (Window.input_offset w)
+
 let test_heap_empty () =
   let h = Heap.create ~dummy:"none" () in
   Alcotest.(check (float 0.)) "min_key of empty" infinity (Heap.min_key h);
@@ -475,6 +556,11 @@ let () =
         [
           Alcotest.test_case "empty and iter" `Quick test_heap_empty;
           QCheck_alcotest.to_alcotest prop_heap_stable_order;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "empty fill leaves the window" `Quick test_window_empty_fill;
+          QCheck_alcotest.to_alcotest prop_window_model;
         ] );
       ( "tables",
         [
