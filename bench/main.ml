@@ -737,6 +737,11 @@ let positive name s =
 let env_int name default =
   match Sys.getenv_opt name with Some s -> positive name s | None -> default
 
+let median a =
+  let s = Array.copy a in
+  Array.sort compare s;
+  s.(Array.length s / 2)
+
 let env_ints name default =
   match Sys.getenv_opt name with
   | Some s -> List.map (positive name) (String.split_on_char ',' s)
@@ -1074,11 +1079,6 @@ let obs_overhead () =
   for r = 0 to rounds - 1 do
     Array.iteri (fun i make -> times.(i).(r) <- run_once make) variants
   done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
   let ratio num den = median (Array.init rounds (fun r -> num.(r) /. den.(r))) in
   (* The last enabled run's registry carries the ledger: its lint and
      rt.* metrics plus the per-variant figures. *)
@@ -1184,7 +1184,41 @@ let par_speedup () =
     if n >= 1_000_000 then None
     else Some (Printf.sprintf "records=%d < 1000000: a smoke-sized stream is too noisy to gate per pass" n)
   in
+  (* End to end on a tbin: the chunked source, whose workers decode the
+     frames, at one and two workers. Rounds alternate the two so a slow
+     phase of a shared machine lands on both, and the statistic is the
+     median per-round ratio, as in the obs gate: two workers must not
+     lose to one. *)
+  let stream_disarmed =
+    if domains >= 2 then None
+    else Some (Printf.sprintf "available_domains=%d < 2: nothing runs in parallel" domains)
+  in
+  let tbin = Filename.temp_file "nt_par_bench" ".ntb" in
+  Out_channel.with_open_bin tbin (fun oc ->
+      ignore (Nt_tbin.write_channel oc (Array.to_seq records) : int));
+  let stream jobs =
+    let t0 = Unix.gettimeofday () in
+    (match Pipeline.analyze_trace ~jobs ~sections ~tick:ignore tbin with
+    | Ok (out, _) ->
+        if not (String.equal (String.concat "\n" (List.map snd out)) r1) then
+          failwith "bench par: the tbin stream report differs from the array report"
+    | Error msg -> failwith msg);
+    Unix.gettimeofday () -. t0
+  in
+  let rounds = 5 in
+  let paired = Array.init rounds (fun _ -> (stream 1, stream 2)) in
+  Sys.remove tbin;
+  let stream_ratio = median (Array.map (fun (j1, j2) -> j2 /. j1) paired) in
   let rate t = float_of_int n /. t in
+  List.iter
+    (fun (jobs, t) ->
+      Ledger.gauge obs ~labels:[ ("jobs", jobs) ] "bench.stream_seconds" t;
+      Ledger.gauge obs ~labels:[ ("jobs", jobs) ] "bench.stream_records_per_second" (rate t))
+    [ ("1", median (Array.map fst paired)); ("2", median (Array.map snd paired)) ];
+  Printf.printf "tbin stream, median of %d alternating rounds: jobs 1 %.3f s, jobs 2 %.3f s\n"
+    rounds
+    (median (Array.map fst paired))
+    (median (Array.map snd paired));
   Tables.print
     ~header:[ "jobs"; "time (s)"; "records/s" ]
     (List.map
@@ -1199,6 +1233,7 @@ let par_speedup () =
   Ledger.write ~gate:"par" ~workload:"lint_stream/week" ~params:[ ("records", Ledger.Int n) ] obs
     (Ledger.flag "reports_identical" (String.equal r1 r4)
     :: Ledger.check ?disarmed:speedup_disarmed "speedup" (t1 /. t4) Ge min_speedup
+    :: Ledger.check ?disarmed:stream_disarmed "stream_j2_over_j1" stream_ratio Le 1.0
     :: List.map
          (fun (name, base) ->
            Ledger.check ?disarmed:pass_disarmed ("rate_" ^ name) (pass_rate name) Ge

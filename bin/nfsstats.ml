@@ -14,21 +14,34 @@ let run input analyses jobs shard_records lint obs_opts =
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsstats" in
   let linter = if lint then Some (Lint.create ~obs Lint.default_config) else None in
-  let opened = ref (Ok ()) in
-  let sections, n =
-    Obs.with_span obs "analyze" (fun () ->
-        Nt_core.Pipeline.analyze_stream ~obs ?timeline ~jobs ~records_per_shard:shard_records
-          ~sections:analyses (fun push ->
-            opened :=
-              Nt_core.Pipeline.iter_trace ~obs input (fun r ->
-                  Obs_cli.tick prog ~stage:"analyze" 1;
-                  Nt_obs.Sampler.tick sampler;
-                  Option.iter (fun l -> Lint.observe l r) linter;
-                  push r)))
+  let tick n =
+    Obs_cli.tick prog ~stage:"analyze" n;
+    Nt_obs.Sampler.tick sampler
   in
-  match !opened with
+  let analyzed =
+    Obs.with_span obs "analyze" (fun () ->
+        match linter with
+        | None ->
+            Nt_core.Pipeline.analyze_trace ~obs ?timeline ~jobs ~records_per_shard:shard_records
+              ~sections:analyses ~tick input
+        | Some l ->
+            (* the linter reads every record in stream order, so the
+               records come to this domain through the push adapter *)
+            let opened = ref (Ok ()) in
+            let out =
+              Nt_core.Pipeline.analyze_stream ~obs ?timeline ~jobs
+                ~records_per_shard:shard_records ~sections:analyses (fun push ->
+                  opened :=
+                    Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+                        tick 1;
+                        Lint.observe l r;
+                        push r))
+            in
+            Result.map (fun () -> out) !opened)
+  in
+  match analyzed with
   | Error msg -> Cli_file.fail "nfsstats" msg
-  | Ok () ->
+  | Ok (sections, n) ->
       Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
       Printf.eprintf "nfsstats: %d records loaded%s\n%!" n (Cli_file.skipped_note obs);
       Option.iter
@@ -81,9 +94,12 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sharded analysis engine (default 1: inline, no domains; 0: the \
-           machine's recommended domain count). The report text is byte-identical at any setting \
-           — sharding and merge order never depend on it.")
+          "Worker domains for the chunked analysis engine (default 1: inline, no domains; 0: the \
+           machine's recommended domain count). Each worker takes one chunk at a time, decodes it \
+           when the input is tbin (whole frames) and folds it into every analysis. The report \
+           text is byte-identical at any setting — the chunk cut and the merge order never depend \
+           on it. With $(b,--lint) the records are decoded on the main domain, which the linter \
+           reads in stream order.")
 
 let positive_int =
   let parse s =

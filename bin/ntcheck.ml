@@ -195,7 +195,8 @@ let roots =
     & info [ "root" ] ~docv:"UNITS"
         ~doc:
           "Override the domain-safety reachability roots (comma-separated compilation \
-           units; default Nt_par__Passes, Nt_par__Driver).")
+           units; default the parallel driver and passes, the tbin decode units and nfsmon's \
+           service and feed).")
 
 let excludes =
   Arg.(

@@ -18,7 +18,16 @@ type config = {
 
 let default_config =
   {
-    roots = [ "Nt_par__Passes"; "Nt_par__Driver"; "Nt_mon__Service"; "Nt_mon__Feed" ];
+    roots =
+      [
+        "Nt_par__Passes";
+        "Nt_par__Driver";
+        "Nt_tbin__Tbin";
+        "Nt_tbin__Varint";
+        "Nt_tbin__Frame";
+        "Nt_mon__Service";
+        "Nt_mon__Feed";
+      ];
     lib_prefixes = [ "Nt_" ];
     decode_prefixes = [ "Nt_xdr"; "Nt_rpc"; "Nt_nfs"; "Nt_net"; "Nt_tbin" ];
     hot_prefixes = [ "Nt_analysis" ];
@@ -48,6 +57,7 @@ let default_config =
         "Nt_lint.Engine.observe";
         "Nt_lint.Engine.observe_stats";
         "Nt_core.Pipeline.analyze_stream";
+        "Nt_core.Pipeline.analyze_trace";
       ];
     codecs = [ ("Nt_nfs__Ops", [ "call"; "success" ], "Nt_tbin__Tbin") ];
     formats_unit = "Nt_formats__Formats";

@@ -238,51 +238,53 @@ let parse_errors_metric = "trace.parse_errors"
 
 let parse_errors obs = Obs.sum_counter (Obs.snapshot obs) parse_errors_metric
 
-let iter_trace ?obs spec f =
-  let tbin ic = ignore (Nt_tbin.iter_channel ?obs ic f : Nt_tbin.stats) in
-  let text ic =
-    let c_errors =
-      Obs.counter (Option.value obs ~default:Obs.null) ~help:"unparsable text trace lines skipped"
-        parse_errors_metric
-    in
-    Seq.iter
-      (function Ok r -> f r | Error _ -> Obs.inc c_errors)
-      (Nt_trace.Record.read_channel ic)
+let text_records ?obs ic f =
+  let c_errors =
+    Obs.counter (Option.value obs ~default:Obs.null) ~help:"unparsable text trace lines skipped"
+      parse_errors_metric
   in
-  if String.equal spec "-" then Ok (text stdin)
-  else begin
-    let path, forced =
-      if String.starts_with ~prefix:"trace:" spec then
-        (String.sub spec 6 (String.length spec - 6), Some `Text)
-      else if String.starts_with ~prefix:"tbin:" spec then
-        (String.sub spec 5 (String.length spec - 5), Some `Tbin)
-      else (spec, None)
-    in
-    let opened =
-      match open_in_bin path with
-      | exception Sys_error msg -> Error ("cannot open " ^ msg)
-      | ic when Sys.is_directory path ->
-          (* a directory opens but cannot be read *)
-          close_in_noerr ic;
-          Error ("cannot open " ^ path ^ ": Is a directory")
-      | ic -> (
-          match forced with
-          | Some k -> Ok (ic, k)
-          | None -> (
-              match channel_kind ic path with
-              | (`Text | `Tbin) as k -> Ok (ic, k)
-              | `Pcap ->
-                  close_in_noerr ic;
-                  Error
-                    ("cannot read " ^ path
-                   ^ ": a pcap capture, not a trace (decode it with nfstrace)")))
-    in
+  Seq.iter
+    (function Ok r -> f r | Error _ -> Obs.inc c_errors)
+    (Nt_trace.Record.read_channel ic)
+
+(* The channel and format a trace path spec names. *)
+let open_path spec =
+  let path, forced =
+    if String.starts_with ~prefix:"trace:" spec then
+      (String.sub spec 6 (String.length spec - 6), Some `Text)
+    else if String.starts_with ~prefix:"tbin:" spec then
+      (String.sub spec 5 (String.length spec - 5), Some `Tbin)
+    else (spec, None)
+  in
+  match open_in_bin path with
+  | exception Sys_error msg -> Error ("cannot open " ^ msg)
+  | ic when Sys.is_directory path ->
+      (* a directory opens but cannot be read *)
+      close_in_noerr ic;
+      Error ("cannot open " ^ path ^ ": Is a directory")
+  | ic -> (
+      match forced with
+      | Some k -> Ok (ic, k)
+      | None -> (
+          match channel_kind ic path with
+          | (`Text | `Tbin) as k -> Ok (ic, k)
+          | `Pcap ->
+              close_in_noerr ic;
+              Error
+                ("cannot read " ^ path ^ ": a pcap capture, not a trace (decode it with nfstrace)")))
+
+(* [f ic kind] over the source [spec] names; [-] is text on stdin. *)
+let with_source spec f =
+  if String.equal spec "-" then Ok (f stdin `Text)
+  else
     Result.map
-      (fun (ic, kind) ->
-        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-            match kind with `Text -> text ic | `Tbin -> tbin ic))
-      opened
-  end
+      (fun (ic, kind) -> Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic kind))
+      (open_path spec)
+
+let iter_trace ?obs spec f =
+  with_source spec (fun ic -> function
+    | `Text -> text_records ?obs ic f
+    | `Tbin -> ignore (Nt_tbin.iter_channel ?obs ic f : Nt_tbin.stats))
 
 let load_trace ?obs ?(tick = fun () -> ()) spec =
   let acc = ref [] in
@@ -292,3 +294,24 @@ let load_trace ?obs ?(tick = fun () -> ()) spec =
 
 let analyze_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce =
   Nt_par.Report.run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce
+
+(* A tbin source is cut into whole-frame chunks that workers decode and
+   fold; a text source goes through the push adapter. *)
+let analyze_trace ?obs ?timeline ?jobs
+    ?(records_per_shard = Nt_par.Report.default_records_per_shard) ~sections ~tick spec =
+  if records_per_shard <= 0 then invalid_arg "Pipeline.analyze_trace: records_per_shard";
+  with_source spec (fun ic -> function
+    | `Text ->
+        analyze_stream ?obs ?timeline ?jobs ~records_per_shard ~sections (fun push ->
+            text_records ?obs ic (fun r ->
+                tick 1;
+                push r))
+    | `Tbin ->
+        let scanner = Nt_tbin.Scanner.create ?obs () in
+        Nt_par.Report.run_chunks ?obs ?timeline ?jobs ~sections ~decode:Nt_tbin.decode_chunk
+          ~absorb:(fun ((records, _) as decoded) ->
+            Nt_tbin.Scanner.count scanner decoded;
+            tick records)
+          (fun push ->
+            Nt_tbin.Scanner.iter_chunks scanner ~records:records_per_shard (input ic) push))
+[@@nt.raise_ok "records_per_shard is caller configuration rejected up front"]

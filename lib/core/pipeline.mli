@@ -204,3 +204,26 @@ val analyze_stream :
     peak state of one chunk — see {!Nt_par.Report.run_stream}. The
     rendered text is byte-identical at any [jobs]. Also returns the
     record count. *)
+
+val analyze_trace :
+  ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
+  ?jobs:int ->
+  ?records_per_shard:int ->
+  sections:Nt_par.Report.section list ->
+  tick:(int -> unit) ->
+  string ->
+  ((Nt_par.Report.section * string) list * int, string) result
+(** {!analyze_stream} over the source [spec] names, read as
+    {!iter_trace} reads it. A tbin source is cut into chunks of whole
+    frames that declare about [records_per_shard] records
+    ({!Nt_tbin.Scanner.iter_chunks}), and each chunk is decoded and
+    folded inside one pool task ({!Nt_par.Report.run_chunks}); no
+    record is handed back to the caller. A text source goes through the
+    push adapter. [tick n] fires on the caller's domain as records are
+    folded: once per text record, once per tbin chunk with its record
+    count. The report, the record count and every [tbin.*] and
+    [trace.parse_errors] counter equal {!analyze_stream}'s over
+    {!iter_trace}, at any [jobs]. Raises [Invalid_argument] on a
+    non-positive [records_per_shard]; an unopenable source is [Error],
+    as in {!iter_trace}. *)

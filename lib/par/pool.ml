@@ -45,7 +45,7 @@ let create ?(jobs = 1) () =
       task_count = 0;
     }
   in
-  if size > 1 then t.domains <- List.init size (fun _ -> Domain.spawn (fun () -> worker t));
+  if size > 1 then t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let run_all t fns =
@@ -63,23 +63,28 @@ let run_all t fns =
       Mutex.unlock t.m;
       invalid_arg "Pool.run_all: pool already shut down"
     end;
-    Array.iteri
-      (fun i f ->
-        Queue.push
-          (fun () ->
-            let r = try Ok (f ()) with e -> Error e in
-            Mutex.lock t.m;
-            (match r with
-            | Ok v -> results.(i) <- Some v
-            | Error e -> ( match !first_error with None -> first_error := Some e | Some _ -> ()));
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast finished;
-            Mutex.unlock t.m)
-          t.q)
-      fns;
+    let wrapped =
+      Array.mapi
+        (fun i f () ->
+          let r = try Ok (f ()) with e -> Error e in
+          Mutex.lock t.m;
+          (match r with
+          | Ok v -> results.(i) <- Some v
+          | Error e -> ( match !first_error with None -> first_error := Some e | Some _ -> ()));
+          decr remaining;
+          if !remaining = 0 then Condition.broadcast finished;
+          Mutex.unlock t.m)
+        fns
+    in
+    (* the caller is the pool's last worker: it keeps every [size]-th
+       task and the spawned domains share the rest *)
+    Array.iteri (fun i task -> if i mod t.size <> 0 then Queue.push task t.q) wrapped;
     t.task_count <- t.task_count + n;
     if Queue.length t.q > t.peak_queue then t.peak_queue <- Queue.length t.q;
     Condition.broadcast t.work_ready;
+    Mutex.unlock t.m;
+    Array.iteri (fun i task -> if i mod t.size = 0 then task ()) wrapped;
+    Mutex.lock t.m;
     while !remaining > 0 do
       Condition.wait finished t.m
     done;

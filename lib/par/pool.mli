@@ -2,10 +2,16 @@
 
     OCaml 5 domains map 1:1 to cores and are expensive to spawn, so the
     sharded analysis driver spawns them once and feeds them batches of
-    closures. A pool of size <= 1 spawns no domains at all and runs
-    every batch inline on the caller, which keeps [--jobs 1] (the
-    default) free of any threading machinery while exercising the same
-    shard/merge code path. *)
+    closures. A pool of size [n] runs [n] tasks at once: [n - 1]
+    spawned domains, and the caller, which runs every [n]-th task of a
+    {!run_all} batch itself (tasks 0, n, 2n, ...) instead of sleeping
+    while the domains work. A sleeping caller's domain still has to
+    answer every stop-the-world minor collection; on a two-core box
+    that made [nfsstats -j 2] about a quarter slower. A pool of
+    size <= 1 spawns no domains at all and runs every batch inline on
+    the caller, which keeps [--jobs 1] (the default) free of any
+    threading machinery while exercising the same shard/merge code
+    path. *)
 
 type t
 
@@ -13,13 +19,15 @@ val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> unit -> t
-(** [jobs] (default 1) is the worker-domain count; [jobs <= 0] means
-    {!recommended}. With [jobs <= 1] no domains are spawned. *)
+(** [jobs] (default 1) is the worker count, the caller included;
+    [jobs <= 0] means {!recommended}. With [jobs <= 1] no domains are
+    spawned. *)
 
 val run_all : t -> (unit -> 'a) array -> 'a array
 (** Run every closure to completion and return their results in input
-    order. Closures run concurrently on the pool's domains (inline, in
-    order, for a size-1 pool), so they must not share mutable state. If
+    order. Closures run concurrently on the pool's domains and the
+    caller's (inline, in order, for a size-1 pool), so they must not
+    share mutable state. If
     any closure raises, the first exception (in completion order) is
     re-raised after the whole batch has drained — never from a worker.
     Must not be called from inside a pool task, and a pool serves one

@@ -83,8 +83,7 @@ let default_records_per_shard = 65536
 (* Each section is one job of the chunked fold; its continuation
    renders the merged accumulator. The runs section's terminal analysis
    chunk-fans over the merged I/O log in a pool of its own. *)
-let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
-    ?(records_per_shard = default_records_per_shard) ~sections produce =
+let report ~obs ?timeline ~jobs ~sections fold =
   let texts = Array.make (List.length sections) "" in
   let job i s =
     let out text = texts.(i) <- text in
@@ -101,10 +100,24 @@ let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
                     (render_runs
                        (A.Runs.table3 (Passes.runs ~obs ?timeline ~jump_blocks:10 pool log)))) )
   in
-  let total =
-    Driver.fold ~obs ?timeline ~jobs ~chunk:records_per_shard (List.mapi job sections) produce
-  in
+  let total = fold (List.mapi job sections) in
   (List.mapi (fun i s -> (s, texts.(i))) sections, total)
+
+let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
+    ?(records_per_shard = default_records_per_shard) ~sections produce =
+  report ~obs ?timeline ~jobs ~sections (fun job_list ->
+      Driver.fold ~obs ?timeline ~jobs ~chunk:records_per_shard job_list produce)
+
+(* Decoded records reach the passes this many at a time: a batch fits
+   in the minor heap with room to spare, and the passes' per-batch
+   timing costs nothing next to it. *)
+let decode_batch = 256
+
+let run_chunks ?(obs = Obs.null) ?timeline ?(jobs = 1) ~sections ~decode ~absorb produce =
+  report ~obs ?timeline ~jobs ~sections (fun job_list ->
+      Driver.fold_chunks ~obs ?timeline ~jobs
+        ~decode:(fun c -> Driver.batches decode_batch (decode c))
+        ~absorb job_list produce)
 
 let run ?obs ?timeline ?jobs ?records_per_shard ~sections records =
   fst

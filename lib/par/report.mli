@@ -28,12 +28,30 @@ val run_stream :
     the records [produce push] drives through [push], in time order,
     and returns them rendered in request order with the record count.
     The report is a {!Driver.fold} over fixed [records_per_shard]
-    chunks (default 65536) with [jobs] worker domains per batch
-    (default 1 — inline, no domains; 0 = the machine's recommended
-    count); the runs section additionally chunk-fans its terminal
-    analysis over the merged I/O log. Peak state is one chunk plus the
-    pass accumulators — the trace is never held whole — and the text
-    is byte-identical at any [jobs]. *)
+    chunks (default 65536) with [jobs] workers, one chunk each, per
+    batch (default 1 — inline, no domains; 0 = the machine's
+    recommended count); the runs section additionally chunk-fans its
+    terminal analysis over the merged I/O log. Peak state is one chunk
+    per worker plus the pass accumulators — the trace is never held
+    whole — and the text is byte-identical at any [jobs]. *)
+
+val run_chunks :
+  ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
+  ?jobs:int ->
+  sections:section list ->
+  decode:('c -> (Nt_trace.Record.t -> unit) -> 'd) ->
+  absorb:('d -> unit) ->
+  (('c -> unit) -> unit) ->
+  (section * string) list * int
+(** {!run_stream} over the chunks [produce push] pushes, each decoded
+    and folded inside one pool task ({!Driver.fold_chunks}), with
+    [absorb] receiving each decode's result on the caller in chunk
+    order. [decode c emit] yields the chunk's records one at a time;
+    they reach the passes 256 at a time ({!Driver.batches}), so records
+    no pass keeps die young. The chunks' cut, not [jobs], sets the
+    merge sequence, so the text is byte-identical at any [jobs] and
+    equal to {!run_stream}'s over the same records. *)
 
 val run :
   ?obs:Nt_obs.Obs.t ->

@@ -640,19 +640,71 @@ let encode_string ?frame_records records =
   Writer.close w;
   Buffer.contents buf
 
-(* {2 Decoder} *)
+(* {2 Reading}
 
-module Decoder = struct
+   Two stages. The frame scan ([Scanner]) finds each frame, checks its
+   shape, decompresses and checksums it, resynchronises past damage and
+   counts every frame-level failure. The payload decode
+   ([decode_payload]) turns one verified payload into records and
+   touches no registry, so a worker domain may run it; its record and
+   bad-record counts are added back through [Scanner.count]. *)
+
+(* A verified, decompressed payload: [s.[pos .. pos + len)]. *)
+type payload = { s : string; pos : int; len : int }
+
+(* Records go to [f] in order, [~last] on the frame's final one, and
+   the result is (records delivered, bad records). A record that fails
+   to decode ends the frame; those before it stay delivered. *)
+let decode_payload p f =
+  let c = { V.s = p.s; pos = p.pos; limit = p.pos + p.len } in
+  let n = ref 0 in
+  match
+    let atoms = load_atoms c in
+    let count = V.read_uv c in
+    if count < 0 then raise V.Corrupt;
+    let prev_bits = ref 0L in
+    for i = 1 to count do
+      let r = decode_record c atoms prev_bits in
+      incr n;
+      f ~last:(i = count) r
+    done;
+    (* trailing garbage inside a checksummed frame is still damage *)
+    if c.V.pos <> c.V.limit then raise V.Corrupt
+  with
+  | () -> (!n, 0)
+  | exception V.Corrupt -> (!n, 1)
+
+(* The count the payload declares, read past its atom dictionary
+   without decoding a record; 0 when the prefix does not parse. A
+   record costs at least one byte, so the count is clamped to the bytes
+   left. *)
+let payload_records p =
+  let c = { V.s = p.s; pos = p.pos; limit = p.pos + p.len } in
+  match
+    let n = V.read_uv c in
+    if n < 0 || n > c.V.limit - c.V.pos then raise V.Corrupt;
+    for _ = 1 to n do
+      let len = V.read_uv c in
+      if len < 0 || len > c.V.limit - c.V.pos then raise V.Corrupt;
+      c.V.pos <- c.V.pos + len
+    done;
+    V.read_uv c
+  with
+  | count -> max 0 (min count (c.V.limit - c.V.pos))
+  | exception V.Corrupt -> 0
+
+type chunk = payload list
+
+module Scanner = struct
   module Window = Nt_util.Window
 
-  (* Frames are parsed where they sit in the window: an uncompressed
-     payload is decoded in place, and only its atoms are copied out. *)
+  (* Frames are found where they sit in the window. *)
   type t = {
     w : Window.t;
     mutable header_ok : bool;
     mutable resyncing : bool;
     mutable finished : bool;
-    queue : (Record.t * int64) Queue.t;
+    mutable frame_start : int64;  (* stream offset of the last frame scanned *)
     mutable n_frames : int;
     mutable n_records : int;
     mutable n_skipped : int;
@@ -682,7 +734,7 @@ module Decoder = struct
       header_ok = false;
       resyncing = false;
       finished = false;
-      queue = Queue.create ();
+      frame_start = 0L;
       n_frames = 0;
       n_records = 0;
       n_skipped = 0;
@@ -728,7 +780,7 @@ module Decoder = struct
   (* One counter per corruption event: a failure in a clean stream is
      counted here and opens a resync episode; candidate frames that
      fail while the episode is still open are the same event and skip
-     silently. A successful frame decode closes the episode. *)
+     silently. A successful frame check closes the episode. *)
   let frame_damaged t =
     if not t.resyncing then begin
       t.n_bad_frames <- t.n_bad_frames + 1;
@@ -737,29 +789,10 @@ module Decoder = struct
     t.resyncing <- true;
     skip t 1
 
-  (* Decode the payload [raw.[pos .. pos + len)]. *)
-  let decode_payload t raw ~pos ~len ~frame_start ~frame_end =
-    t.n_frames <- t.n_frames + 1;
-    Obs.inc t.c_frames;
-    try
-      let c = { V.s = raw; pos; limit = pos + len } in
-      let atoms = load_atoms c in
-      let count = V.read_uv c in
-      if count < 0 then raise V.Corrupt;
-      let prev_bits = ref 0L in
-      for i = 1 to count do
-        let r = decode_record c atoms prev_bits in
-        Queue.push (r, if i = count then frame_end else frame_start) t.queue;
-        t.n_records <- t.n_records + 1;
-        Obs.inc t.c_records
-      done;
-      (* trailing garbage inside a checksummed frame is still damage *)
-      if c.V.pos <> c.V.limit then raise V.Corrupt
-    with V.Corrupt ->
-      t.n_bad_records <- t.n_bad_records + 1;
-      Obs.inc t.c_bad_record
-
-  let rec parse t =
+  (* The next verified payload, or [None] until more bytes arrive. An
+     uncompressed payload is a view of the window, valid until the next
+     feed or fill, unless [own] asks for a copy. *)
+  let rec scan t ~own =
     let w = t.w in
     let len = Window.length w and b = w.buf and p = w.pos in
     if not t.header_ok then begin
@@ -771,8 +804,9 @@ module Decoder = struct
           t.resyncing <- true
         end;
         t.header_ok <- true;
-        parse t
+        scan t ~own
       end
+      else None
     end
     else if len >= sync_len && sync_at b p then begin
       if len >= header_len then begin
@@ -788,11 +822,9 @@ module Decoder = struct
         in
         if not shape_ok then begin
           frame_damaged t;
-          parse t
+          scan t ~own
         end
         else if len >= header_len + stored_len then begin
-          (* the window is not refilled before the payload is decoded,
-             so the in-place string stays valid for that long *)
           let s = Bytes.unsafe_to_string b and at = p + header_len in
           match
             if flags land flag_compressed = 0 then (s, at)
@@ -800,21 +832,27 @@ module Decoder = struct
           with
           | exception V.Corrupt ->
               frame_damaged t;
-              parse t
+              scan t ~own
           | raw, pos when Frame.adler32 raw ~pos ~len:raw_len <> sum ->
               frame_damaged t;
-              parse t
+              scan t ~own
           | raw, pos ->
-              let frame_start = Window.consumed w in
-              let frame_end = Int64.add frame_start (Int64.of_int (header_len + stored_len)) in
               t.resyncing <- false;
-              decode_payload t raw ~pos ~len:raw_len ~frame_start ~frame_end;
+              t.n_frames <- t.n_frames + 1;
+              Obs.inc t.c_frames;
+              t.frame_start <- Window.consumed w;
+              let payload =
+                if own && flags land flag_compressed = 0 then
+                  { s = String.sub s pos raw_len; pos = 0; len = raw_len }
+                else { s = raw; pos; len = raw_len }
+              in
+              (* consuming moves no bytes, so a view stays readable *)
               Window.consume w (header_len + stored_len);
-              parse t
+              Some payload
         end
-        (* else: wait for the rest of the frame *)
+        else None (* wait for the rest of the frame *)
       end
-      (* else: wait for a full header *)
+      else None (* wait for a full header *)
     end
     else if len >= sync_len then begin
       (* fewer than sync_len bytes could still be a marker prefix, so a
@@ -827,33 +865,25 @@ module Decoder = struct
       let at = find_sync w 1 in
       if at >= 0 then begin
         skip t at;
-        parse t
+        scan t ~own
       end
       else begin
         (* no marker: keep a tail that could be a marker prefix *)
         let keep = min len (sync_len - 1) in
-        skip t (len - keep)
+        skip t (len - keep);
+        None
       end
     end
+    else None
 
-  let feed t chunk =
-    if (not t.finished) && String.length chunk > 0 then begin
-      Window.feed t.w chunk;
-      parse t
-    end
+  let feed t chunk = if (not t.finished) && String.length chunk > 0 then Window.feed t.w chunk
+  let fill t input = if t.finished then 0 else Window.fill t.w input
 
-  let fill t input =
-    if t.finished then 0
-    else begin
-      let n = Window.fill t.w input in
-      if n > 0 then parse t;
-      n
-    end
-
-  let next t = Queue.take_opt t.queue
-
-  let pull t =
-    match Queue.take_opt t.queue with Some (r, _) -> Some r | None -> None
+  let count t (records, bad_records) =
+    t.n_records <- t.n_records + records;
+    Obs.add t.c_records records;
+    t.n_bad_records <- t.n_bad_records + bad_records;
+    Obs.add t.c_bad_record bad_records
 
   let finish t =
     if not t.finished then begin
@@ -876,13 +906,9 @@ module Decoder = struct
 
   let reset_at t off =
     Window.reset_at t.w off;
-    Queue.clear t.queue;
     t.header_ok <- Int64.compare off 0L > 0;
     t.resyncing <- false;
     t.finished <- false
-
-  let consumed t = Window.consumed t.w
-  let input_offset t = Window.input_offset t.w
 
   let stats t =
     {
@@ -896,9 +922,95 @@ module Decoder = struct
       truncated_tails = t.n_trunc;
     }
 
+  (* Whole frames are gathered until they declare [records] records;
+     the cut reads the payloads alone. A chunk may wait for its batch
+     while the window is refilled, so its payloads own their bytes. *)
+  let iter_chunks t ~records input push =
+    let held = ref [] and declared = ref 0 in
+    let flush () =
+      if !held <> [] then begin
+        push (List.rev !held);
+        held := [];
+        declared := 0
+      end
+    in
+    let rec drain () =
+      match scan t ~own:true with
+      | Some p ->
+          held := p :: !held;
+          declared := !declared + payload_records p;
+          if !declared >= records then flush ();
+          drain ()
+      | None -> ()
+    in
+    let rec loop () =
+      if fill t input = 0 then finish t
+      else begin
+        drain ();
+        loop ()
+      end
+    in
+    loop ();
+    flush ()
+end
+
+let decode_chunk chunk f =
+  let emit ~last:_ r = f r in
+  List.fold_left
+    (fun (n, bad) p ->
+      let n', bad' = decode_payload p emit in
+      (n + n', bad + bad'))
+    (0, 0) chunk
+[@@nt.alloc_ok "two adapter closures per chunk of whole frames, not per record"]
+
+(* The serial reader: the scan followed at once by the payload decode,
+   so every view is decoded before the window is refilled. *)
+module Decoder = struct
+  module Window = Nt_util.Window
+
+  type t = { s : Scanner.t; queue : (Record.t * int64) Queue.t }
+
+  let create ?obs () = { s = Scanner.create ?obs (); queue = Queue.create () }
+
+  (* A frame's replay offset is its end for its last record and its
+     start for earlier ones. *)
+  let rec drain t =
+    match Scanner.scan t.s ~own:false with
+    | Some p ->
+        let frame_start = t.s.frame_start and frame_end = Window.consumed t.s.w in
+        Scanner.count t.s
+          (decode_payload p (fun ~last r ->
+               Queue.push (r, if last then frame_end else frame_start) t.queue));
+        drain t
+    | None -> ()
+
+  let feed t chunk =
+    Scanner.feed t.s chunk;
+    drain t
+
+  let fill t input =
+    let n = Scanner.fill t.s input in
+    if n > 0 then drain t;
+    n
+
+  let next t = Queue.take_opt t.queue
+
+  let pull t =
+    match Queue.take_opt t.queue with Some (r, _) -> Some r | None -> None
+
+  let finish t = Scanner.finish t.s
+
+  let reset_at t off =
+    Scanner.reset_at t.s off;
+    Queue.clear t.queue
+
+  let consumed t = Window.consumed t.s.w
+  let input_offset t = Window.input_offset t.s.w
+  let stats t = Scanner.stats t.s
+
   let footprint t =
     let queued = Queue.length t.queue in
-    Nt_obs.Footprint.v ~cards:queued ~words:((Window.length t.w / 8) + (queued * 32))
+    Nt_obs.Footprint.v ~cards:queued ~words:((Window.length t.s.w / 8) + (queued * 32))
 end
 
 (* {2 Whole-stream helpers} *)

@@ -73,7 +73,53 @@ val write_channel : ?frame_records:int -> out_channel -> Nt_trace.Record.t Seq.t
 
 val encode_string : ?frame_records:int -> Nt_trace.Record.t list -> string
 
-(** {1 Reading} *)
+(** {1 Reading}
+
+    Reading is two stages. The frame scan finds each frame: the sync
+    check, the header shape check, RLE decompression, the Adler-32 and
+    resynchronisation, with every frame-level failure counted on the
+    registry. The payload decode turns one verified payload into
+    records; it touches no registry and no shared state, so a worker
+    domain may run it ({!decode_chunk}), and its counts are added back
+    on the scanner's domain ({!Scanner.count}). The serial {!Decoder}
+    is the scan followed at once by the payload decode. *)
+
+type chunk
+(** The verified payloads of whole frames, in stream order, each
+    already decompressed and owning its bytes. *)
+
+val decode_chunk : chunk -> (Nt_trace.Record.t -> unit) -> int * int
+(** [decode_chunk c f] gives [f] the chunk's records in order and
+    returns the records delivered and the bad-record count. A record
+    that fails to decode, or trailing bytes, make its frame bad (one
+    count); the frame's records before the damage stay delivered.
+    Registry-free; never raises. *)
+
+module Scanner : sig
+  (** The frame scan on its own, for a reader that decodes elsewhere. *)
+
+  type t
+
+  val create : ?obs:Nt_obs.Obs.t -> unit -> t
+  (** Registers the same [tbin.*] counters as {!Decoder.create}. *)
+
+  val iter_chunks : t -> records:int -> (Bytes.t -> int -> int -> int) -> (chunk -> unit) -> unit
+  (** [iter_chunks t ~records input push] scans the whole stream read
+      through [input] and pushes it as chunks of whole frames: a chunk
+      closes once its frames declare at least [records] records (read
+      past each frame's atom dictionary, without decoding a record),
+      and the last may declare fewer. The cut is a function of the
+      input and [records] alone. A partial frame at the end is counted
+      as a truncated tail. *)
+
+  val count : t -> int * int -> unit
+  (** Add a {!decode_chunk} result, records and bad records, to the
+      counters. *)
+
+  val stats : t -> stats
+  (** Once every chunk's result is counted: what {!Decoder.stats} says
+      after the same stream. *)
+end
 
 module Decoder : sig
   (** Incremental push decoder: feed or fill byte chunks of any size

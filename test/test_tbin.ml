@@ -792,7 +792,20 @@ let test_differential_text_tbin_stream () =
                   Alcotest.(check (list string))
                     (what ^ " lint in the push == lint_records")
                     lint_want
-                    (List.map Nt_lint.Finding.to_string (Nt_lint.Engine.findings lint)))
+                    (List.map Nt_lint.Finding.to_string (Nt_lint.Engine.findings lint));
+                  (* the CLIs' chunked entry: tbin frames decode on the workers *)
+                  let ticked = ref 0 in
+                  match
+                    Nt_core.Pipeline.analyze_trace ~jobs ~records_per_shard:64 ~sections
+                      ~tick:(fun n -> ticked := !ticked + n)
+                      spec
+                  with
+                  | Error msg -> Alcotest.failf "%s: %s" spec msg
+                  | Ok (texts, n) ->
+                      let what = Printf.sprintf "%s: analyze_trace %s" label spec in
+                      Alcotest.(check int) (what ^ " record count") (List.length records) n;
+                      Alcotest.(check int) (what ^ " ticks") n !ticked;
+                      Alcotest.(check string) what base (render label texts))
                 [ text_path; "trace:" ^ text_path; "tbin:" ^ tbin_path; tbin_path ])
             [ 1; 4 ]))
 
@@ -1012,6 +1025,233 @@ let test_differential_pcap_leg () =
       let via_tbin = render "pcap" (analyze_list ~jobs:4 out) in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
 
+(* ---------- frame-parallel source ---------- *)
+
+(* The records a chunked fold delivers, in stream order: each chunk
+   collects its own (newest first) and a merge appends the next time
+   range. *)
+let collect_pass : Record.t list ref Nt_par.Driver.pass =
+  {
+    Nt_par.Driver.name = "collect";
+    init = (fun () -> ref []);
+    init_shard = (fun () -> ref []);
+    observe = (fun acc r -> acc := r :: !acc);
+    merge =
+      (fun a b ->
+        a := !b @ !a;
+        a);
+  }
+
+(* Reads of at most [step] bytes over [s]. *)
+let string_input ~step s =
+  let pos = ref 0 in
+  fun buf off len ->
+    let n = min (min len step) (String.length s - !pos) in
+    Bytes.blit_string s !pos buf off n;
+    pos := !pos + n;
+    n
+
+let tbin_counters obs =
+  List.filter_map
+    (fun (m : Nt_obs.Obs.metric) ->
+      if String.starts_with ~prefix:"tbin." m.name then
+        match m.value with
+        | Nt_obs.Obs.Counter v ->
+            let labels = List.map (fun (k, v) -> "," ^ k ^ "=" ^ v) m.labels in
+            Some (m.name ^ String.concat "" labels, v)
+        | _ -> None
+      else None)
+    (Nt_obs.Obs.snapshot obs).metrics
+
+let chunked_decode ~jobs ~records ~step bytes =
+  let obs = Nt_obs.Obs.create () in
+  let s = Tbin.Scanner.create ~obs () in
+  let out = ref [] in
+  let n =
+    Nt_par.Driver.fold_chunks ~jobs
+      ~decode:(fun c -> Nt_par.Driver.batches 7 (Tbin.decode_chunk c))
+      ~absorb:(Tbin.Scanner.count s)
+      [ Nt_par.Driver.Job (collect_pass, fun acc -> out := List.rev !acc) ]
+      (fun push -> Tbin.Scanner.iter_chunks s ~records (string_input ~step bytes) push)
+  in
+  (n, Tbin.Scanner.stats s, !out, tbin_counters obs)
+
+let serial_decode bytes =
+  with_temp ".ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let obs = Nt_obs.Obs.create () in
+      let out = ref [] in
+      let stats =
+        In_channel.with_open_bin path (fun ic ->
+            Tbin.iter_channel ~obs ic (fun r -> out := r :: !out))
+      in
+      (stats, List.rev !out, tbin_counters obs))
+
+type damage = Payload_flip of int * int | Header_flip of int * int | Cut of int | No_magic
+
+let damage_to_string = function
+  | Payload_flip (at, bit) -> Printf.sprintf "payload flip %d.%d" at bit
+  | Header_flip (k, bit) -> Printf.sprintf "header flip %d.%d" k bit
+  | Cut n -> Printf.sprintf "cut %d" n
+  | No_magic -> "no magic"
+
+(* Damage positions are drawn as fractions of the stream and resolved
+   against the encoded bytes: a header flip lands inside the 17-byte
+   header of some frame, a payload flip anywhere past the magic. *)
+let apply_damage s d =
+  let len = String.length s in
+  let flip at bit =
+    let b = Bytes.of_string s in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl bit)));
+    Bytes.to_string b
+  in
+  let magic = String.length Tbin.magic in
+  match d with
+  | Payload_flip (permille, bit) when len > magic ->
+      flip (magic + ((len - magic - 1) * permille / 1000)) bit
+  | Header_flip (k, bit) ->
+      let rec syncs i acc =
+        if i + 17 > len then List.rev acc
+        else if String.sub s i 4 = Tbin.sync then syncs (i + 1) (i :: acc)
+        else syncs (i + 1) acc
+      in
+      (match syncs magic [] with
+      | [] -> s
+      | starts -> flip (List.nth starts (k mod List.length starts) + (k mod 17)) bit)
+  | Cut permille -> String.sub s 0 (len * permille / 1000)
+  | No_magic -> String.sub s magic (len - magic)
+  | Payload_flip _ -> s
+
+(* The same stream with every frame stored uncompressed, so a reader
+   finds the payloads in its own window. *)
+let store_uncompressed s =
+  let le32 o = Int32.to_int (String.get_int32_le s o) land 0xFFFF_FFFF in
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b Tbin.magic;
+  let rec go i =
+    if i + 17 <= String.length s then begin
+      let raw = le32 (i + 5) and stored = le32 (i + 9) in
+      let payload =
+        if Char.code s.[i + 4] land 1 = 0 then String.sub s (i + 17) stored
+        else Frame.decompress s ~pos:(i + 17) ~len:stored ~expect:raw
+      in
+      Buffer.add_string b Tbin.sync;
+      Buffer.add_char b '\000';
+      Buffer.add_int32_le b (Int32.of_int raw);
+      Buffer.add_int32_le b (Int32.of_int raw);
+      Buffer.add_string b (String.sub s (i + 13) 4);
+      Buffer.add_string b payload;
+      go (i + 17 + stored)
+    end
+  in
+  go (String.length Tbin.magic);
+  Buffer.contents b
+
+let gen_damage =
+  G.oneof
+    [
+      G.map2 (fun p b -> Payload_flip (p, b)) (G.int_range 0 999) (G.int_range 0 7);
+      G.map2 (fun k b -> Header_flip (k, b)) (G.int_range 0 10_000) (G.int_range 0 7);
+      G.map (fun p -> Cut p) (G.int_range 0 999);
+      G.return No_magic;
+    ]
+
+let prop_chunked_source_matches_serial =
+  let gen =
+    G.(
+      pair
+        (tup5
+           (list_size (int_range 0 1500)
+              (oneof [ gen_record; map (fun i -> simple i) (int_range 0 10_000) ]))
+           (int_range 1 5000) (int_range 1 3000) (int_range 1 70_000)
+           (list_size (int_range 0 3) gen_damage))
+        bool)
+  in
+  let print ((rs, frame_records, records, step, damage), raw) =
+    Printf.sprintf
+      "%d records, frame_records %d%s, chunk records %d, reads of %d, damage [%s]"
+      (List.length rs) frame_records
+      (if raw then " stored uncompressed" else "")
+      records step
+      (String.concat "; " (List.map damage_to_string damage))
+  in
+  QCheck.Test.make ~name:"chunked tbin source = serial iter_channel, jobs 1/2/4" ~count:60
+    (QCheck.make ~print gen) (fun ((rs, frame_records, records, step, damage), raw) ->
+      let encoded = Tbin.encode_string ~frame_records rs in
+      let bytes =
+        List.fold_left apply_damage (if raw then store_uncompressed encoded else encoded) damage
+      in
+      let stats, want, counters = serial_decode bytes in
+      List.for_all
+        (fun jobs ->
+          let n, c_stats, got, c_counters = chunked_decode ~jobs ~records ~step bytes in
+          if got <> want then QCheck.Test.fail_reportf "jobs %d: records differ" jobs;
+          if c_stats <> stats then
+            QCheck.Test.fail_reportf "jobs %d: stats %s, serial %s" jobs
+              (Tbin.stats_to_string c_stats) (Tbin.stats_to_string stats);
+          if c_counters <> counters then
+            QCheck.Test.fail_reportf "jobs %d: tbin.* counters differ" jobs;
+          n = List.length want)
+        [ 1; 2; 4 ])
+
+(* A chunk waits for its batch while the scanner reads on and refills
+   its window, so an uncompressed payload must not stay a view of it. *)
+let test_held_chunks_own_their_bytes () =
+  let rs = List.init 6000 simple in
+  let bytes = store_uncompressed (Tbin.encode_string ~frame_records:100 rs) in
+  Alcotest.(check bool) "stored uncompressed" true
+    (String.length bytes > String.length (Tbin.encode_string ~frame_records:100 rs));
+  let n, stats, got, _ = chunked_decode ~jobs:2 ~records:1000 ~step:4096 bytes in
+  Alcotest.(check int) "no failures" 0 (Tbin.failures stats);
+  Alcotest.(check int) "record count" 6000 n;
+  if got <> rs then Alcotest.fail "records changed while their chunk waited"
+
+(* nfsstats decodes tbin frames on its worker domains, and with --lint
+   on its main domain: every way must print the same report and the
+   same summary, clean or damaged. *)
+let test_cli_frame_parallel () =
+  let records = simulated_records () in
+  let encoded = Tbin.encode_string ~frame_records:64 records in
+  let flipped =
+    let b = Bytes.of_string encoded in
+    let at = Bytes.length b / 3 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x04));
+    Bytes.to_string b
+  in
+  let cut = String.sub encoded 0 (String.length encoded * 3 / 4) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  with_temp ".ntb" (fun ntb ->
+      with_temp ".out" (fun out ->
+          with_temp ".err" (fun err ->
+              let stats args =
+                Alcotest.(check int) "nfsstats exit" 0
+                  (run_cli "nfsstats"
+                     ([ "-a"; "summary,runs,names,hourly"; "--shard-records"; "200" ]
+                     @ args @ [ ntb ])
+                     ~stdout:out ~stderr:err);
+                (read out, read err)
+              in
+              List.iter
+                (fun (name, bytes) ->
+                  Out_channel.with_open_bin ntb (fun oc -> output_string oc bytes);
+                  let failures = Tbin.failures (fst (Tbin.decode_string bytes)) in
+                  let out1, err1 = stats [ "-j"; "1" ] in
+                  let out2, err2 = stats [ "-j"; "2" ] in
+                  let lout1, lerr1 = stats [ "-j"; "1"; "--lint" ] in
+                  let lout2, lerr2 = stats [ "-j"; "2"; "--lint" ] in
+                  Alcotest.(check string) (name ^ ": stdout -j 1 = -j 2") out1 out2;
+                  Alcotest.(check string) (name ^ ": stderr -j 1 = -j 2") err1 err2;
+                  Alcotest.(check string) (name ^ ": --lint stdout -j 1 = -j 2") lout1 lout2;
+                  Alcotest.(check string) (name ^ ": --lint stderr -j 1 = -j 2") lerr1 lerr2;
+                  Alcotest.(check string) (name ^ ": the linted run reports the same") out1 lout1;
+                  Alcotest.(check bool) (name ^ ": the linted run has the same summary") true
+                    (String.starts_with ~prefix:err1 lerr1);
+                  Alcotest.(check bool)
+                    (name ^ ": the failure note matches the decode")
+                    (failures > 0)
+                    (String.ends_with ~suffix:"tbin decode failure\n" err1))
+                [ ("clean", encoded); ("flipped", flipped); ("truncated", cut) ])))
+
 (* ---------- suite ---------- *)
 
 let () =
@@ -1076,5 +1316,8 @@ let () =
             test_bare_path_sniffs_content;
           Alcotest.test_case "skipped text lines are counted" `Quick test_parse_errors_counted;
           Alcotest.test_case "tbin decode failures are noted" `Quick test_decode_failures_noted;
+          QCheck_alcotest.to_alcotest prop_chunked_source_matches_serial;
+          Alcotest.test_case "held chunks own their bytes" `Quick test_held_chunks_own_their_bytes;
+          Alcotest.test_case "nfsstats -j 1, -j 2 and --lint agree" `Quick test_cli_frame_parallel;
         ] );
     ]
